@@ -184,7 +184,16 @@ def cmd_convert(args) -> int:
         _diag(args, None, "usage", "no input files found")
         return 2
 
+    targets: dict[Path, Path] = {}
     for path in files:
+        target = args.output / f"{path.stem}.{args.format}"
+        if target in targets:
+            _diag(args, path, "usage",
+                  f"output {target} would also be written from {targets[target]}")
+            return 2
+        targets[target] = path
+
+    for target, path in targets.items():
         try:
             model, code = _load_model(args, path)
             if model is None:
@@ -201,7 +210,6 @@ def cmd_convert(args) -> int:
                 text = serialize_turtle(graph)
             else:
                 text = serialize_ntriples(graph)
-            target = args.output / f"{path.stem}.{args.format}"
             _atomic_write(target, text)
             print(f"{target}\t{len(graph)}")
         except MuseAnnoError as exc:

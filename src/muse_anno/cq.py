@@ -254,8 +254,8 @@ def _cq9_graph(graph: RdfGraph, subject: str | None) -> CqResult:
 def _cq10_graph(graph: RdfGraph, subject: str | None) -> CqResult:
     rows = []
     for ann in _graph_pick(graph, subject, vocab.ANNOTATION_CLASSES, "annotation"):
-        for triple in graph.matching(None, vocab.HAS_MUSIC_ANNOTATION, ann):
-            rows.append((ann, triple.subject))
+        for obj in graph.subjects(vocab.HAS_MUSIC_ANNOTATION, ann):
+            rows.append((ann, obj))
     return _result(10, rows)
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -197,6 +199,11 @@ def parse_jams(data: bytes | str) -> JamsDocument:
         raw = json.loads(text, parse_float=Decimal)
     except json.JSONDecodeError as exc:
         raise MalformedJson(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # an integer past the int conversion limit
+        raise _unlocated_json_error(text, "integer literal too long") from exc
+    except RecursionError as exc:
+        raise _unlocated_json_error(text, "arrays and objects nested too deeply") \
+            from exc
 
     if not isinstance(raw, dict):
         raise TypeMismatch("$", "object", raw)
@@ -211,6 +218,32 @@ def parse_jams(data: bytes | str) -> JamsDocument:
     extras = {k: v for k, v in raw.items()
               if k not in ("annotations", "file_metadata", "sandbox")}
     return JamsDocument(file_metadata, annotations, sandbox, extras)
+
+
+_JSON_TOKEN_RE = re.compile(
+    r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?|[\[{]|[\]}]')
+
+
+def _unlocated_json_error(text: str, message: str) -> MalformedJson:
+    """Locate a failure json.loads reports without a position: the first
+    integer literal over the conversion limit, or else the first bracket
+    at the deepest nesting level."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    depth = deepest = where = 0
+    for token in _JSON_TOKEN_RE.finditer(text):
+        digits, fraction, exponent = token.groups()
+        if digits and not fraction and not exponent and 0 < limit < len(digits):
+            where = token.start()
+            break
+        if token.group() in "[{":
+            depth += 1
+            if depth > deepest:
+                deepest, where = depth, token.start()
+        elif token.group() in "]}":
+            depth -= 1
+    line = text.count("\n", 0, where) + 1
+    column = where - text.rfind("\n", 0, where)
+    return MalformedJson(message, line, column)
 
 
 def _require(obj: dict, key: str, expected: type, parent: str = "") -> object:

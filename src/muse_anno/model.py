@@ -62,12 +62,6 @@ class AnnotatorType:
 
     name: str
 
-    BUILTIN = ("Human", "Machine", "Crowdsourcing")
-
-    @property
-    def is_builtin(self) -> bool:
-        return self.name in self.BUILTIN
-
 
 HUMAN = AnnotatorType("Human")
 MACHINE = AnnotatorType("Machine")

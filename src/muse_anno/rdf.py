@@ -1,11 +1,14 @@
 """RDF materialization: graph type, emitter, serializers, Turtle parser.
 
-The graph is a plain set of triples with a prefix map.  Everything here is
-deterministic by construction: entity IRIs come from the minting scheme,
-triples are sorted by (subject, predicate, object) codepoint order at
-serialization time, prefixes are sorted by name, and literals keep their
-source lexical forms.  Serializing the same graph twice yields identical
-bytes on any platform.
+The graph is a plain set of triples with a prefix map.  Lookups by
+subject or predicate go through a hash index that the first lookup builds
+and ``add`` drops, so building a graph pays nothing for it and a query
+never scans it.
+Everything here is deterministic by construction: entity IRIs come from
+the minting scheme, triples are sorted by (subject, predicate, object)
+codepoint order only at serialization time, prefixes are sorted by name,
+and literals keep their source lexical forms.  Serializing the same graph
+twice yields identical bytes on any platform.
 
 ``parse_turtle`` understands exactly the subset ``serialize_turtle``
 emits (prefix declarations, IRIs, prefixed names, ``a``, typed and plain
@@ -37,6 +40,9 @@ class Literal:
 
 
 Term = str | Literal  # IRIs travel as bare strings
+# subject -> predicate -> objects, and predicate -> object -> subjects.
+_Index = tuple[dict[str, dict[str, list[Term]]],
+               dict[str, dict[Term, list[str]]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,15 +54,23 @@ class Triple:
 
 @dataclass(eq=False)
 class RdfGraph:
-    """Set of triples plus a prefix map; equality is plain set equality."""
+    """Set of triples plus a prefix map; equality is plain set equality.
+
+    ``triples`` is the only storage.  The first lookup builds an index in
+    one pass over it: subject -> predicate -> objects (ordered by their
+    N-Triples form) and predicate -> object -> subjects (in codepoint
+    order), so lookups return what a scan of the sorted triples would, in
+    the same order.  ``add`` drops the index; only the serializers sort
+    the whole graph.
+    """
 
     triples: set[Triple] = field(default_factory=set)
     prefixes: dict[str, str] = field(default_factory=dict)
-    _sorted: list[Triple] | None = field(default=None, repr=False)
+    _index: _Index | None = field(default=None, repr=False)
 
     def add(self, subject: str, predicate: str, obj: Term) -> None:
         self.triples.add(Triple(subject, predicate, obj))
-        self._sorted = None
+        self._index = None
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -70,37 +84,67 @@ class RdfGraph:
         return self.triples == other.triples and self.prefixes == other.prefixes
 
     def sorted_triples(self) -> list[Triple]:
-        if self._sorted is None:
-            self._sorted = sorted(self.triples, key=_triple_key)
-        return self._sorted
+        return sorted(self.triples, key=_triple_key)
+
+    def _lookup(self) -> _Index:
+        if self._index is None:
+            by_subject: dict[str, dict[str, list[Term]]] = {}
+            by_predicate: dict[str, dict[Term, list[str]]] = {}
+            for triple in self.triples:
+                by_subject.setdefault(triple.subject, {}) \
+                    .setdefault(triple.predicate, []).append(triple.object)
+                by_predicate.setdefault(triple.predicate, {}) \
+                    .setdefault(triple.object, []).append(triple.subject)
+            for predicates in by_subject.values():
+                for objects in predicates.values():
+                    if len(objects) > 1:
+                        objects.sort(key=_term_key)
+            for objects_map in by_predicate.values():
+                for subjects in objects_map.values():
+                    if len(subjects) > 1:
+                        subjects.sort()
+            self._index = by_subject, by_predicate
+        return self._index
 
     def matching(self, subject: str | None = None, predicate: str | None = None,
                  obj: Term | None = None) -> Iterator[Triple]:
-        for triple in self.sorted_triples():
-            if subject is not None and triple.subject != subject:
-                continue
-            if predicate is not None and triple.predicate != predicate:
-                continue
-            if obj is not None and triple.object != obj:
-                continue
-            yield triple
+        """Triples matching the given terms, in sorted triple order."""
+        if subject is not None:
+            predicates = self._lookup()[0].get(subject, {})
+            for p in sorted(predicates) if predicate is None else [predicate]:
+                for o in predicates.get(p, ()):
+                    if obj is None or o == obj:
+                        yield Triple(subject, p, o)
+        elif predicate is not None:
+            objects = self._lookup()[1].get(predicate, {})
+            if obj is not None:
+                for s in objects.get(obj, ()):
+                    yield Triple(s, predicate, obj)
+            else:
+                yield from sorted((Triple(s, predicate, o)
+                                   for o, subjects in objects.items()
+                                   for s in subjects), key=_triple_key)
+        else:
+            yield from sorted((t for t in self.triples
+                               if obj is None or t.object == obj),
+                              key=_triple_key)
 
     def objects(self, subject: str, predicate: str) -> list[Term]:
-        return [t.object for t in self.matching(subject, predicate)]
+        return list(self._lookup()[0].get(subject, {}).get(predicate, ()))
 
     def value(self, subject: str, predicate: str) -> Term | None:
-        found = self.objects(subject, predicate)
+        found = self._lookup()[0].get(subject, {}).get(predicate)
         return found[0] if found else None
 
     def subjects(self, predicate: str | None = None,
                  obj: Term | None = None) -> list[str]:
-        seen: set[str] = set()
-        out: list[str] = []
-        for triple in self.matching(None, predicate, obj):
-            if triple.subject not in seen:
-                seen.add(triple.subject)
-                out.append(triple.subject)
-        return out
+        if predicate is None:
+            return sorted({t.subject for t in self.triples
+                           if obj is None or t.object == obj})
+        objects = self._lookup()[1].get(predicate, {})
+        if obj is not None:
+            return list(objects.get(obj, ()))
+        return sorted({s for subjects in objects.values() for s in subjects})
 
     def types_of(self, subject: str) -> list[str]:
         return [o for o in self.objects(subject, vocab.RDF_TYPE)
@@ -317,6 +361,8 @@ class _TurtleReader:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        # One str per distinct IRI: a graph repeats each IRI in many triples.
+        self.iris: dict[str, str] = {}
 
     def location(self) -> tuple[int, int]:
         consumed = self.text[:self.pos]
@@ -446,7 +492,8 @@ def _parse_resource(reader: _TurtleReader, graph: RdfGraph, role: str) -> str:
         if prefix not in graph.prefixes:
             reader.fail(f"undeclared prefix {prefix!r}")
         reader.pos = match.end()
-        return graph.prefixes[prefix] + local
+        iri = graph.prefixes[prefix] + local
+        return reader.iris.setdefault(iri, iri)
     reader.fail(f"expected an IRI or prefixed name as {role}")
     raise AssertionError("unreachable")
 
@@ -457,10 +504,14 @@ def _parse_iriref(reader: _TurtleReader) -> str:
     if end < 0:
         reader.fail("unterminated IRI")
     iri = reader.text[reader.pos:end]
-    if any(c in iri for c in ' "{}|^`\n\r\t') or "<" in iri:
-        reader.fail("illegal character in IRI")
+    shared = reader.iris.get(iri)
+    if shared is None:
+        # Every IRI already shared is legal, so each is checked once.
+        if any(c in iri for c in ' "{}|^`\n\r\t') or "<" in iri:
+            reader.fail("illegal character in IRI")
+        shared = reader.iris[iri] = iri
     reader.pos = end + 1
-    return iri
+    return shared
 
 
 def _parse_object(reader: _TurtleReader, graph: RdfGraph) -> Term:

@@ -37,10 +37,6 @@ def integer_lexical(value: Decimal) -> str:
     return str(int(value))
 
 
-def is_finite_number(value: object) -> bool:
-    return isinstance(value, Decimal) and value.is_finite()
-
-
 def require_number(value: object, path: str) -> Decimal:
     """Narrow a parsed JSON value to a finite Decimal, or raise TypeMismatch."""
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):

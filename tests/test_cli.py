@@ -136,6 +136,43 @@ def test_validate_errors_exit_one(tmp_path, capsys_run):
     assert codes == ["V10"]
 
 
+@pytest.mark.parametrize("payload", [b"[" * 100_000,
+                                     b'{"n": ' + b"9" * 5000 + b"}"],
+                         ids=["deep_nesting", "long_integer"])
+def test_validate_reports_unparseable_json_and_goes_on(tmp_path, capsys_run,
+                                                      payload):
+    bad = tmp_path / "a_bad.jams"
+    bad.write_bytes(payload)
+    warned = tmp_path / "b_warned.jams"
+    warned.write_text(
+        '{"annotations":[{"namespace":"chord","data":[]}],'
+        '"file_metadata":{"title":"x","duration":1.0},"sandbox":{}}')
+    code, out, err = capsys_run("validate", str(bad), str(warned),
+                                "--modality", "audio")
+    assert code == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "MalformedJson"
+    assert diagnostic["path"] == str(bad)
+    assert json.loads(out)["code"] == "W2"
+
+
+def test_convert_refuses_inputs_sharing_an_output_name(tmp_path, capsys_run):
+    first, second = tmp_path / "a" / "x.jams", tmp_path / "b" / "x.jams"
+    for path in (first, second):
+        path.parent.mkdir()
+        path.write_bytes(BOHEMIAN.read_bytes())
+    out_dir = tmp_path / "out"
+    code, out, err = capsys_run("convert", str(first), str(second),
+                                "--modality", "audio", "-o", str(out_dir))
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    diagnostic = json.loads(line)
+    assert diagnostic["error"] == "usage"
+    assert str(first) in line and str(second) in line
+    assert not out_dir.exists()
+
+
 def test_query_cq7_returns_value_row(capsys_run):
     subject = "http://example.org/observation/01-bohemian-rhapsody/0/0"
     code, out, err = capsys_run(

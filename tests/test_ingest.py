@@ -114,6 +114,23 @@ def test_invalid_utf8_reports_malformed():
         parse_jams(b'{"a": "\xff"}')
 
 
+def test_overlong_integer_reports_malformed_at_the_literal():
+    # A fraction and a digit string of the same length are fine; only the
+    # integer literal is past Python's int conversion limit.
+    long_digits = "7" * 5000
+    text = (f'{{"x": 0.{long_digits}, "y": "{long_digits}",\n'
+            f' "z": [1, {long_digits}]}}')
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(text)
+    assert (excinfo.value.line, excinfo.value.column) == (2, 11)
+
+
+def test_deep_nesting_reports_malformed():
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(b"[" * 100_000)
+    assert (excinfo.value.line, excinfo.value.column) == (1, 100_000)
+
+
 def test_time_type_mismatch_names_path():
     text = EMPTY_CORPUS.replace(
         '"annotations":[]',

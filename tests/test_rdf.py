@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muse_anno import (
     AnnotationModel,
@@ -17,7 +18,7 @@ from muse_anno import (
     serialize_ntriples,
     serialize_turtle,
 )
-from muse_anno import vocab
+from muse_anno import answer_cq, vocab
 from muse_anno.errors import (
     InvalidBase,
     TurtleSyntax,
@@ -192,6 +193,56 @@ def test_turtle_golden_bohemian(bohemian_graph):
         encoding="utf-8")
 
 
+# --- lookups ---------------------------------------------------------------------
+
+_NODES = [f"http://example.org/{name}" for name in ("a", "b", "c", "d")]
+_PREDICATES = [vocab.RDF_TYPE, vocab.RDFS_LABEL, "http://example.org/p"]
+# Lexical forms whose N-Triples order differs from their plain order.
+_LITERALS = [Literal(lexical, datatype)
+             for lexical in ("", "a", "a b", 'a"', "a\n", "\t", "B")
+             for datatype in (vocab.XSD_STRING, vocab.XSD_DECIMAL)]
+_TERMS = _NODES + _LITERALS
+_triples = st.builds(Triple, st.sampled_from(_NODES),
+                     st.sampled_from(_PREDICATES), st.sampled_from(_TERMS))
+
+
+def _assert_lookups_match_a_sorted_scan(graph: RdfGraph) -> None:
+    ordered = graph.sorted_triples()
+
+    def scan(s=None, p=None, o=None):
+        return [t for t in ordered if s in (None, t.subject)
+                and p in (None, t.predicate) and o in (None, t.object)]
+
+    for s in [None, *_NODES, "http://example.org/absent"]:
+        for p in [None, *_PREDICATES]:
+            for o in [None, *_TERMS]:
+                assert list(graph.matching(s, p, o)) == scan(s, p, o)
+            if s is not None and p is not None:
+                objects = [t.object for t in scan(s, p)]
+                assert graph.objects(s, p) == objects
+                assert graph.value(s, p) == (objects[0] if objects else None)
+        if s is not None:
+            assert graph.types_of(s) == [
+                t.object for t in scan(s, vocab.RDF_TYPE)
+                if isinstance(t.object, str)]
+    for p in [None, *_PREDICATES]:
+        for o in [None, *_TERMS]:
+            subjects = list(dict.fromkeys(t.subject for t in scan(None, p, o)))
+            assert graph.subjects(p, o) == subjects
+
+
+@given(st.lists(_triples, max_size=40), _triples)
+@settings(max_examples=60)
+def test_lookups_match_a_scan_of_the_sorted_triples(triples, added):
+    graph = RdfGraph()
+    for triple in triples:
+        graph.add(triple.subject, triple.predicate, triple.object)
+    _assert_lookups_match_a_sorted_scan(graph)
+    graph.add(added.subject, added.predicate, added.object)
+    assert added.object in graph.objects(added.subject, added.predicate)
+    _assert_lookups_match_a_sorted_scan(graph)
+
+
 # --- parsing -------------------------------------------------------------------
 
 def test_parse_single_triple_document():
@@ -204,10 +255,13 @@ def test_parse_single_triple_document():
 
 
 def test_parse_round_trips_fixture_graphs(bohemian_graph):
-    for model in (build_mozart_model(), build_michelle_model()):
-        graph = emit_graph(model)
-        assert parse_turtle(serialize_turtle(graph)) == graph
-    assert parse_turtle(serialize_turtle(bohemian_graph)) == bohemian_graph
+    graphs = [emit_graph(build_mozart_model()),
+              emit_graph(build_michelle_model()), bohemian_graph]
+    for graph in graphs:
+        parsed = parse_turtle(serialize_turtle(graph))
+        assert parsed == graph
+        for cq_id in (1, 2, 4, 8, 10):
+            assert answer_cq(cq_id, parsed) == answer_cq(cq_id, graph)
 
 
 def test_parse_accepts_bare_numbers_and_a():
