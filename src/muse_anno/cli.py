@@ -205,7 +205,7 @@ def cmd_convert(args) -> int:
             if errors:
                 status = 1
                 continue
-            graph = emit_graph(model)
+            graph = emit_graph(model, violations)
             if args.format == "ttl":
                 text = serialize_turtle(graph)
             else:

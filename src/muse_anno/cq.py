@@ -111,10 +111,9 @@ def _typed_subjects(graph: RdfGraph, classes: frozenset[str]) -> list[str]:
 
 def _graph_pick(graph: RdfGraph, subject: str | None, classes: frozenset[str],
                 expected: str) -> list[str]:
-    entities = _typed_subjects(graph, classes)
     if subject is None:
-        return entities
-    if subject not in entities:
+        return _typed_subjects(graph, classes)
+    if classes.isdisjoint(graph.types_of(subject)):
         raise SubjectNotFound(subject, expected)
     return [subject]
 

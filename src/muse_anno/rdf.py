@@ -5,10 +5,12 @@ subject or predicate go through a hash index that the first lookup builds
 and ``add`` drops, so building a graph pays nothing for it and a query
 never scans it.
 Everything here is deterministic by construction: entity IRIs come from
-the minting scheme, triples are sorted by (subject, predicate, object)
-codepoint order only at serialization time, prefixes are sorted by name,
-and literals keep their source lexical forms.  Serializing the same graph
-twice yields identical bytes on any platform.
+the minting scheme, prefixes are sorted by name, and literals keep their
+source lexical forms.  Triples are put in (subject, predicate, object)
+codepoint order only at serialization time: N-Triples sorts the whole
+graph, Turtle groups the triples by subject and sorts the subjects and
+then each subject's few triples.  Serializing the same graph twice yields
+identical bytes on any platform.
 
 ``parse_turtle`` understands exactly the subset ``serialize_turtle``
 emits (prefix declarations, IRIs, prefixed names, ``a``, typed and plain
@@ -20,15 +22,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import vocab
 from .errors import TurtleSyntax, UnsupportedConstruct, UnvalidatedModel
-from .iri import IriMinter, mint_iri  # noqa: F401  (re-exported: emitter owns the scheme)
 from .iri import component_iri, duration_iri, index_iri, interval_iri
 from .model import AnnotationModel, MusicAnnotation, MusicTimeInterval
 from .util import decimal_lexical
-from .validate import Severity, validate_model
+from .validate import Severity, Violation, validate_model
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +46,7 @@ _Index = tuple[dict[str, dict[str, list[Term]]],
                dict[str, dict[Term, list[str]]]]
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     subject: str
     predicate: str
     object: Term
@@ -60,8 +60,8 @@ class RdfGraph:
     one pass over it: subject -> predicate -> objects (ordered by their
     N-Triples form) and predicate -> object -> subjects (in codepoint
     order), so lookups return what a scan of the sorted triples would, in
-    the same order.  ``add`` drops the index; only the serializers sort
-    the whole graph.
+    the same order.  ``add`` drops the index; only the serializers put
+    the whole graph in order.
     """
 
     triples: set[Triple] = field(default_factory=set)
@@ -90,15 +90,13 @@ class RdfGraph:
         if self._index is None:
             by_subject: dict[str, dict[str, list[Term]]] = {}
             by_predicate: dict[str, dict[Term, list[str]]] = {}
-            for triple in self.triples:
-                by_subject.setdefault(triple.subject, {}) \
-                    .setdefault(triple.predicate, []).append(triple.object)
-                by_predicate.setdefault(triple.predicate, {}) \
-                    .setdefault(triple.object, []).append(triple.subject)
+            for s, p, o in self.triples:
+                by_subject.setdefault(s, {}).setdefault(p, []).append(o)
+                by_predicate.setdefault(p, {}).setdefault(o, []).append(s)
             for predicates in by_subject.values():
                 for objects in predicates.values():
                     if len(objects) > 1:
-                        objects.sort(key=_term_key)
+                        objects.sort(key=nt_term)
             for objects_map in by_predicate.values():
                 for subjects in objects_map.values():
                     if len(subjects) > 1:
@@ -151,26 +149,27 @@ class RdfGraph:
                 if isinstance(o, str)]
 
 
-def _term_key(term: Term) -> str:
-    return nt_term(term)
-
-
 def _triple_key(triple: Triple) -> tuple[str, str, str]:
-    return triple.subject, triple.predicate, _term_key(triple.object)
+    return triple.subject, triple.predicate, nt_term(triple.object)
 
 
 # --- emission ----------------------------------------------------------------
 
-def emit_graph(model: AnnotationModel) -> RdfGraph:
+def emit_graph(model: AnnotationModel,
+               violations: list[Violation] | None = None) -> RdfGraph:
     """Materialize a model as RDF using the pattern vocabulary.
 
     The model must validate without Errors (warnings are fine); otherwise
-    UnvalidatedModel is raised.  The annotator property chain is
-    materialized: every observation gets an explicit hasAnnotator triple
-    pointing at its annotation's annotator, and isAnnotatorOf is emitted
-    as the inverse on the annotator itself.
+    UnvalidatedModel is raised.  A caller that has just run
+    ``validate_model(model)`` passes its result as ``violations``, so the
+    model is not validated twice; without it, emit_graph validates.  The
+    annotator property chain is materialized: every observation gets an
+    explicit hasAnnotator triple pointing at its annotation's annotator,
+    and isAnnotatorOf is emitted as the inverse on the annotator itself.
     """
-    errors = [v for v in validate_model(model) if v.severity is Severity.ERROR]
+    if violations is None:
+        violations = validate_model(model)
+    errors = [v for v in violations if v.severity is Severity.ERROR]
     if errors:
         codes: list[str] = []
         for violation in errors:
@@ -254,25 +253,16 @@ def _time_literal(part) -> Literal:
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
             "\t": "\\t", "\b": "\\b", "\f": "\\f"}
-
-
-def _needs_numeric_escape(code: int) -> bool:
-    # C0/C1 controls and the Unicode line separators: all legal raw in the
-    # grammar, but they wreck line-oriented consumers, so escape them.
-    return code < 0x20 or 0x7F <= code <= 0x9F or code in (0x2028, 0x2029)
+# C0/C1 controls and the Unicode line separators are all legal raw in the
+# grammar, but they wreck line-oriented consumers, so they get numeric
+# escapes; the short escapes above take precedence over those.
+_ESCAPE_TABLE = {code: f"\\u{code:04X}"
+                 for code in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
+_ESCAPE_TABLE.update({ord(ch): escaped for ch, escaped in _ESCAPES.items()})
 
 
 def _escape_string(text: str) -> str:
-    out: list[str] = []
-    for ch in text:
-        mapped = _ESCAPES.get(ch)
-        if mapped is not None:
-            out.append(mapped)
-        elif _needs_numeric_escape(ord(ch)):
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return text.translate(_ESCAPE_TABLE)
 
 
 def nt_term(term: Term) -> str:
@@ -296,57 +286,62 @@ def serialize_ntriples(graph: RdfGraph) -> str:
 _PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
 
 
-def _prefixed(iri: str, prefixes: dict[str, str]) -> str | None:
-    for prefix in sorted(prefixes):
-        namespace = prefixes[prefix]
-        if namespace and iri.startswith(namespace):
-            local = iri[len(namespace):]
-            if _PN_LOCAL_RE.match(local):
-                return f"{prefix}:{local}"
-    return None
-
-
-def _turtle_iri(iri: str, prefixes: dict[str, str]) -> str:
-    return _prefixed(iri, prefixes) or f"<{iri}>"
-
-
-def _turtle_term(term: Term, prefixes: dict[str, str]) -> str:
-    if isinstance(term, str):
-        return _turtle_iri(term, prefixes)
-    quoted = f'"{_escape_string(term.lexical)}"'
-    if term.datatype == vocab.XSD_STRING:
-        return quoted
-    return f"{quoted}^^{_turtle_iri(term.datatype, prefixes)}"
-
-
 def serialize_turtle(graph: RdfGraph) -> str:
     """Deterministic Turtle: sorted prefixes, then subject blocks in
-    (subject, predicate, object) codepoint order, one blank line apart."""
-    out: list[str] = []
-    for prefix in sorted(graph.prefixes):
-        out.append(f"@prefix {prefix}: <{graph.prefixes[prefix]}> .\n")
+    (subject, predicate, object) codepoint order, one blank line apart.
 
-    triples = graph.sorted_triples()
-    position = 0
-    while position < len(triples):
-        subject = triples[position].subject
+    An IRI is written as a prefixed name under the first prefix, in name
+    order, whose namespace it extends by a valid local name, else as
+    ``<IRI>``.  Each distinct term is rendered once per call.
+    """
+    prefixes = sorted(graph.prefixes.items())
+    rendered: dict[Term, str] = {}
+
+    def render(term: Term) -> str:
+        if isinstance(term, str):
+            text = f"<{term}>"
+            for prefix, namespace in prefixes:
+                if namespace and term.startswith(namespace):
+                    local = term[len(namespace):]
+                    if _PN_LOCAL_RE.match(local):
+                        text = f"{prefix}:{local}"
+                        break
+        else:
+            text = f'"{_escape_string(term.lexical)}"'
+            if term.datatype != vocab.XSD_STRING:
+                datatype = term.datatype
+                text += "^^" + (rendered.get(datatype) or render(datatype))
+        rendered[term] = text
+        return text
+
+    by_subject: dict[str, list[Triple]] = {}
+    for triple in graph.triples:
+        group = by_subject.get(triple.subject)
+        if group is None:
+            by_subject[triple.subject] = [triple]
+        else:
+            group.append(triple)
+
+    out = [f"@prefix {prefix}: <{namespace}> .\n"
+           for prefix, namespace in prefixes]
+    for subject in sorted(by_subject):
+        group = by_subject[subject]
+        if len(group) > 1:
+            group.sort(key=_triple_key)
         out.append("\n")
-        parts: list[str] = []
-        while position < len(triples) and triples[position].subject == subject:
-            predicate = triples[position].predicate
-            objects: list[str] = []
-            while position < len(triples) and \
-                    triples[position].subject == subject and \
-                    triples[position].predicate == predicate:
-                objects.append(_turtle_term(triples[position].object,
-                                            graph.prefixes))
-                position += 1
-            rendered = "a" if predicate == vocab.RDF_TYPE \
-                else _turtle_iri(predicate, graph.prefixes)
-            parts.append(f"{rendered} {', '.join(objects)}")
-        subject_text = _turtle_iri(subject, graph.prefixes)
-        body = " ;\n    ".join(parts)
-        out.append(f"{subject_text} {body} .\n")
+        out.append(rendered.get(subject) or render(subject))
+        last = None
+        for _, predicate, obj in group:
+            if predicate == last:
+                out.append(", ")
+            else:
+                out.append(" ;\n    " if last is not None else " ")
+                out.append("a" if predicate == vocab.RDF_TYPE
+                           else rendered.get(predicate) or render(predicate))
+                out.append(" ")
+                last = predicate
+            out.append(rendered.get(obj) or render(obj))
+        out.append(" .\n")
     return "".join(out)
 
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from muse_anno import cli, rdf, validate_model
 from muse_anno.cli import main
 
 from conftest import FIXTURES, GOLDEN
@@ -64,6 +65,23 @@ def test_convert_directory_sorted(tmp_path, capsys_run):
     names = [line.split("\t")[0] for line in out.strip().splitlines()]
     assert [n.rsplit("/", 1)[-1] for n in names] == \
         ["bohemian_rhapsody.ttl", "michelle.ttl"]
+
+
+def test_convert_validates_each_file_once(tmp_path, capsys_run, monkeypatch):
+    validated = []
+
+    def counting(model):
+        validated.append(model)
+        return validate_model(model)
+
+    monkeypatch.setattr(cli, "validate_model", counting)
+    monkeypatch.setattr(rdf, "validate_model", counting)
+    code, out, _ = capsys_run(
+        "convert", str(BOHEMIAN), str(MICHELLE), "--modality", "audio",
+        "-o", str(tmp_path))
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2
+    assert len(validated) == 2
 
 
 def test_convert_missing_file_names_path(capsys_run):

@@ -160,6 +160,24 @@ def test_subject_not_found(bohemian_graph, bohemian_model):
         answer_cq(5, bohemian_graph, bohemian_model.annotations[0].id)
 
 
+def test_any_subject_is_answered_or_refused_as_the_oracle_does():
+    # Subjects of the wrong class (intervals, values, annotators, an
+    # annotation where an observation is expected, ...) must raise
+    # SubjectNotFound exactly when the model oracle does.
+    for model in (build_mozart_model(), build_michelle_model()):
+        graph = emit_graph(model)
+        for cq in range(1, 11):
+            for subject in graph.subjects() + ["http://example.org/ghost"]:
+                try:
+                    answered = answer_cq(cq, graph, subject)
+                except SubjectNotFound:
+                    with pytest.raises(SubjectNotFound):
+                        oracle_cq(cq, model, subject)
+                else:
+                    assert answered == oracle_cq(cq, model, subject), \
+                        f"CQ{cq} subject={subject}"
+
+
 def test_rows_are_sorted(bohemian_graph):
     result = answer_cq(4, bohemian_graph)
     assert list(result.rows) == sorted(result.rows)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muse_anno import (
@@ -17,6 +17,7 @@ from muse_anno import (
     parse_turtle,
     serialize_ntriples,
     serialize_turtle,
+    validate_model,
 )
 from muse_anno import answer_cq, vocab
 from muse_anno.errors import (
@@ -25,6 +26,7 @@ from muse_anno.errors import (
     UnsupportedConstruct,
     UnvalidatedModel,
 )
+from muse_anno.rdf import _escape_string
 
 from conftest import GOLDEN
 from injections import BROKEN_MODELS
@@ -83,6 +85,11 @@ def test_empty_model_emits_prefixes_only():
 def test_emit_rejects_invalid_models():
     with pytest.raises(UnvalidatedModel) as excinfo:
         emit_graph(BROKEN_MODELS["V4"]())
+    assert excinfo.value.codes == ["V4"]
+    # Violations handed in by a caller that already validated.
+    broken = BROKEN_MODELS["V4"]()
+    with pytest.raises(UnvalidatedModel) as excinfo:
+        emit_graph(broken, validate_model(broken))
     assert excinfo.value.codes == ["V4"]
 
 
@@ -162,6 +169,58 @@ def test_ntriples_line_format():
     graph.add("http://example.org/a", "http://example.org/p", Literal("x"))
     text = serialize_ntriples(graph)
     assert text == '<http://example.org/a> <http://example.org/p> "x" .\n'
+
+
+def _escape_by_loop(text: str) -> str:
+    """The per-character escaper the translation table replaced."""
+    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+               "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in escapes:
+            out.append(escapes[ch])
+        elif code < 0x20 or 0x7F <= code <= 0x9F or code in (0x2028, 0x2029):
+            out.append(f"\\u{code:04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+_TRICKY = st.sampled_from(
+    ['"', "\\", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", " ", "\x7f",
+     "\x80", "\x9f", "\xa0", "\u2027", "\u2028", "\u2029", "\u202a", "é",
+     "\U0001f3b5", "\U0010ffff"])
+
+
+@given(st.text(st.one_of(_TRICKY, st.characters()), max_size=40))
+@example("".join(map(chr, range(0x2100))))
+@settings(max_examples=200)
+def test_escape_table_matches_the_per_character_loop(text):
+    assert _escape_string(text) == _escape_by_loop(text)
+
+
+@pytest.mark.parametrize("prefixes, triples, body", [
+    # Overlapping namespaces: the first prefix by name that leaves a valid
+    # local name wins, not the longest namespace.
+    ({"a": "http://x/", "b": "http://x/y#", "c": "http://x/y"},
+     [("http://x/s", "http://x/y#p", "http://x/yz"),
+      ("http://x/s", "http://x/y#p", "http://x/y#"),
+      ("http://x/s", "http://x/y#p", Literal("1", "http://x/y#int"))],
+     'a:s b:p "1"^^b:int, <http://x/y#>, a:yz .\n'),
+    ({"b": "http://x/", "a": "http://x/y"},
+     [("http://x/yz", "http://x/p", "http://x/yy")],
+     "a:z b:p a:y .\n"),
+])
+def test_turtle_prefix_choice_round_trips(prefixes, triples, body):
+    graph = RdfGraph(prefixes=prefixes)
+    for triple in triples:
+        graph.add(*triple)
+    text = serialize_turtle(graph)
+    declared = "".join(f"@prefix {name}: <{prefixes[name]}> .\n"
+                       for name in sorted(prefixes))
+    assert text == f"{declared}\n{body}"
+    assert parse_turtle(text) == graph
 
 
 def test_ntriples_sorted_by_term_codepoints(bohemian_graph):
