@@ -118,18 +118,24 @@ def _diag(args, path: Path | None, kind: str, message: str) -> None:
         print(json.dumps(payload, ensure_ascii=False), file=sys.stderr)
 
 
-def _gather(inputs: list[Path]) -> tuple[list[Path], list[Path]]:
-    """Expand directories to sorted *.jams files; report missing paths."""
+def _input_files(args) -> tuple[list[Path], int]:
+    """The input files in sorted order, directories expanded to their
+    *.jams files, and the exit status so far: 1 after reporting a missing
+    path, 2 after reporting that there is nothing to read at all."""
     files: list[Path] = []
-    missing: list[Path] = []
-    for path in inputs:
+    status = 0
+    for path in args.inputs:
         if path.is_dir():
-            files.extend(sorted(path.glob("*.jams")))
+            files.extend(path.glob("*.jams"))
         elif path.is_file():
             files.append(path)
         else:
-            missing.append(path)
-    return sorted(files), missing
+            _diag(args, path, "io", "no such file or directory")
+            status = 1
+    if not files and not status:
+        _diag(args, None, "usage", "no input files found")
+        status = 2
+    return sorted(files), status
 
 
 def _pick_modality(args, doc: JamsDocument, path: Path) -> Modality | None:
@@ -175,14 +181,9 @@ def _atomic_write(path: Path, text: str) -> None:
 # --- commands ------------------------------------------------------------------
 
 def cmd_convert(args) -> int:
-    files, missing = _gather(args.inputs)
-    status = 0
-    for path in missing:
-        _diag(args, path, "io", "no such file or directory")
-        status = 1
-    if not files and not missing:
-        _diag(args, None, "usage", "no input files found")
-        return 2
+    files, status = _input_files(args)
+    if status == 2:
+        return status
 
     targets: dict[Path, Path] = {}
     for path in files:
@@ -229,14 +230,9 @@ def _report_violation(args, path: Path, violation) -> None:
 
 
 def cmd_validate(args) -> int:
-    files, missing = _gather(args.inputs)
-    status = 0
-    for path in missing:
-        _diag(args, path, "io", "no such file or directory")
-        status = 1
-    if not files and not missing:
-        _diag(args, None, "usage", "no input files found")
-        return 2
+    files, status = _input_files(args)
+    if status == 2:
+        return status
 
     for path in files:
         try:
@@ -279,14 +275,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    files, missing = _gather(args.inputs)
-    status = 0
-    for path in missing:
-        _diag(args, path, "io", "no such file or directory")
-        status = 1
-    if not files and not missing:
-        _diag(args, None, "usage", "no input files found")
-        return 2
+    files, status = _input_files(args)
+    if status == 2:
+        return status
 
     namespaces: dict[str, int] = {}
     annotator_types: dict[str, int] = {}

@@ -195,6 +195,11 @@ def parse_jams(data: bytes | str) -> JamsDocument:
                 from exc
     else:
         text = data
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise _json_error_at(text, exc.start, "lone surrogate") from exc
     try:
         raw = json.loads(text, parse_float=Decimal)
     except json.JSONDecodeError as exc:
@@ -204,6 +209,10 @@ def parse_jams(data: bytes | str) -> JamsDocument:
     except RecursionError as exc:
         raise _unlocated_json_error(text, "arrays and objects nested too deeply") \
             from exc
+    # A \uD800-\uDFFF escape may decode to a lone surrogate, which no UTF-8
+    # output can carry; only texts holding one are looked at closely.
+    if "\\" in text and _SURROGATE_ESCAPE_RE.search(text):
+        _reject_lone_surrogates(text)
 
     if not isinstance(raw, dict):
         raise TypeMismatch("$", "object", raw)
@@ -241,9 +250,28 @@ def _unlocated_json_error(text: str, message: str) -> MalformedJson:
                 deepest, where = depth, token.start()
         elif token.group() in "]}":
             depth -= 1
+    return _json_error_at(text, where, message)
+
+
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _reject_lone_surrogates(text: str) -> None:
+    """Raise MalformedJson at the first string of a parsed JSON text whose
+    value holds a surrogate that no escape pairs up."""
+    for token in _JSON_TOKEN_RE.finditer(text):
+        literal = token.group()
+        if literal[0] == '"' and _SURROGATE_ESCAPE_RE.search(literal):
+            try:
+                json.loads(literal).encode("utf-8")
+            except UnicodeEncodeError:
+                raise _json_error_at(text, token.start(),
+                                     "string holds a lone surrogate") from None
+
+
+def _json_error_at(text: str, where: int, message: str) -> MalformedJson:
     line = text.count("\n", 0, where) + 1
-    column = where - text.rfind("\n", 0, where)
-    return MalformedJson(message, line, column)
+    return MalformedJson(message, line, where - text.rfind("\n", 0, where))
 
 
 def _require(obj: dict, key: str, expected: type, parent: str = "") -> object:

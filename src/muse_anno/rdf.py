@@ -7,15 +7,19 @@ never scans it.
 Everything here is deterministic by construction: entity IRIs come from
 the minting scheme, prefixes are sorted by name, and literals keep their
 source lexical forms.  Triples are put in (subject, predicate, object)
-codepoint order only at serialization time: N-Triples sorts the whole
-graph, Turtle groups the triples by subject and sorts the subjects and
-then each subject's few triples.  Serializing the same graph twice yields
-identical bytes on any platform.
+codepoint order only at serialization time: both serializers group the
+triples by subject and sort the subjects and then each subject's few
+triples.  Serializing the same graph twice yields identical bytes on any
+platform.
 
 ``parse_turtle`` understands exactly the subset ``serialize_turtle``
 emits (prefix declarations, IRIs, prefixed names, ``a``, typed and plain
 literals, bare numbers, ``;``/``,`` abbreviation) and refuses everything
-else, so round-trips are testable without dragging in an RDF stack.
+else, so round-trips are testable without dragging in an RDF stack.  It
+reads the text with one token regex, whose alternatives also enforce the
+lexical rules (legal IRI characters, string escapes that name Unicode
+scalar values), and a grammar loop over the tokens; a position where no
+token starts is classified only when the error is raised.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from . import vocab
-from .errors import TurtleSyntax, UnsupportedConstruct, UnvalidatedModel
+from .errors import (MuseAnnoError, TurtleSyntax, UnsupportedConstruct,
+                     UnvalidatedModel)
 from .iri import component_iri, duration_iri, index_iri, interval_iri
 from .model import AnnotationModel, MusicAnnotation, MusicTimeInterval
 from .util import decimal_lexical
@@ -275,15 +280,28 @@ def nt_term(term: Term) -> str:
     return f"{quoted}^^<{term.datatype}>"
 
 
+def _subject_groups(graph: RdfGraph) -> Iterator[list[Triple]]:
+    """The graph's triples grouped by subject, in the canonical order of
+    both serializers: subjects in codepoint order, each group sorted by
+    ``_triple_key``."""
+    by_subject: dict[str, list[Triple]] = {}
+    for triple in graph.triples:
+        by_subject.setdefault(triple.subject, []).append(triple)
+    for subject in sorted(by_subject):
+        group = by_subject[subject]
+        if len(group) > 1:
+            group.sort(key=_triple_key)
+        yield group
+
+
 def serialize_ntriples(graph: RdfGraph) -> str:
-    lines = []
-    for triple in graph.sorted_triples():
-        lines.append(f"<{triple.subject}> <{triple.predicate}> "
-                     f"{nt_term(triple.object)} .\n")
-    return "".join(lines)
+    return "".join(f"<{subject}> <{predicate}> {nt_term(obj)} .\n"
+                   for group in _subject_groups(graph)
+                   for subject, predicate, obj in group)
 
 
-_PN_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
+_PN_LOCAL = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
+_PN_LOCAL_RE = re.compile(_PN_LOCAL)
 
 
 def serialize_turtle(graph: RdfGraph) -> str:
@@ -303,7 +321,7 @@ def serialize_turtle(graph: RdfGraph) -> str:
             for prefix, namespace in prefixes:
                 if namespace and term.startswith(namespace):
                     local = term[len(namespace):]
-                    if _PN_LOCAL_RE.match(local):
+                    if _PN_LOCAL_RE.fullmatch(local):
                         text = f"{prefix}:{local}"
                         break
         else:
@@ -314,20 +332,10 @@ def serialize_turtle(graph: RdfGraph) -> str:
         rendered[term] = text
         return text
 
-    by_subject: dict[str, list[Triple]] = {}
-    for triple in graph.triples:
-        group = by_subject.get(triple.subject)
-        if group is None:
-            by_subject[triple.subject] = [triple]
-        else:
-            group.append(triple)
-
     out = [f"@prefix {prefix}: <{namespace}> .\n"
            for prefix, namespace in prefixes]
-    for subject in sorted(by_subject):
-        group = by_subject[subject]
-        if len(group) > 1:
-            group.sort(key=_triple_key)
+    for group in _subject_groups(graph):
+        subject = group[0].subject
         out.append("\n")
         out.append(rendered.get(subject) or render(subject))
         last = None
@@ -347,59 +355,46 @@ def serialize_turtle(graph: RdfGraph) -> str:
 
 # --- parsing (emitted subset only) -------------------------------------------
 
-_WS = " \t\r\n"
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.\d+|\.\d+|\d+)([eE][+-]?\d+)?")
-_PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_\-]*)?:([A-Za-z0-9_][A-Za-z0-9_\-]*)?")
+# An IRI is written <...> or as a prefixed name; <...> excludes the
+# characters IRIREF forbids.
+_IRI = (r'<[^<>"{}|^`\x20\n\r\t]*>'
+        rf"|(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:{_PN_LOCAL})?")
+# Escapes decode to Unicode scalar values only: no surrogate, nothing
+# past U+10FFFF.
+_ECHAR = (r"""\\(?:[tbnrf"'\\]|u(?![dD][89a-fA-F])[0-9A-Fa-f]{4}"""
+          r"|U(?:0000(?![dD][89a-fA-F])|000[1-9A-Fa-f]|0010)[0-9A-Fa-f]{4})")
+_STRING_BODY = rf'[^"\\\n\r]*(?:{_ECHAR}[^"\\\n\r]*)*'
 
+# One token after whitespace and comments.  Each alternative is one named
+# group, so ``lastgroup`` names the token; ``error`` always matches and
+# marks a position where no token starts.
+_TOKEN_RE = re.compile(rf"""
+    (?:[\ \t\r\n]+|\#[^\n]*)*
+    (?:
+        (?P<iri>{_IRI})
+      | (?P<string>"(?!"")(?P<lexical>{_STRING_BODY})"
+                   (?:\^\^(?P<datatype>{_IRI}))?)
+      | (?P<number>[+-]?(?:\d+\.\d+|\.\d+|\d+)(?P<exponent>[eE][+-]?\d+)?)
+      | (?P<a>a)(?![^\ \t\r\n<])
+      | (?P<dot>\.) | (?P<semicolon>;) | (?P<comma>,)
+      | (?P<directive>@prefix)
+      | (?P<end>\Z)
+      | (?P<error>)
+    )""", re.VERBOSE)
+_STRING_HEAD_RE = re.compile(f'"{_STRING_BODY}')
+_UNESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
+_UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+              '"': '"', "'": "'", "\\": "\\"}
 
-class _TurtleReader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        # One str per distinct IRI: a graph repeats each IRI in many triples.
-        self.iris: dict[str, str] = {}
-
-    def location(self) -> tuple[int, int]:
-        consumed = self.text[:self.pos]
-        line = consumed.count("\n") + 1
-        column = self.pos - (consumed.rfind("\n") + 1) + 1
-        return line, column
-
-    def fail(self, message: str) -> None:
-        line, column = self.location()
-        raise TurtleSyntax(message, line, column)
-
-    def unsupported(self, construct: str) -> None:
-        line, column = self.location()
-        raise UnsupportedConstruct(construct, line, column)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in _WS:
-                self.pos += 1
-            elif ch == "#":
-                newline = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if newline < 0 else newline + 1
-            else:
-                return
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, expected: str) -> None:
-        if not self.text.startswith(expected, self.pos):
-            self.fail(f"expected {expected!r}")
-        self.pos += len(expected)
-
-    def try_take(self, expected: str) -> bool:
-        if self.text.startswith(expected, self.pos):
-            self.pos += len(expected)
-            return True
-        return False
+# Turtle outside the subset that may start where the parser wants a term.
+_BLANK_NODES = {"[": "blank node", "(": "collection",
+                "_:": "blank node label"}
+_UNSUPPORTED = {
+    "subject": {"@base": "@base directive", **_BLANK_NODES},
+    "predicate": _BLANK_NODES,
+    "object": {**_BLANK_NODES, "'": "single-quoted string",
+               '"""': "long string literal"},
+}
 
 
 def parse_turtle(text: str) -> RdfGraph:
@@ -409,180 +404,115 @@ def parse_turtle(text: str) -> RdfGraph:
     UnsupportedConstruct for valid Turtle outside the subset (blank
     nodes, collections, long strings, language tags, @base).
     """
-    reader = _TurtleReader(text)
     graph = RdfGraph()
-    while True:
-        reader.skip_ws()
-        if reader.at_end():
-            return graph
-        if reader.peek() == "@":
-            _parse_directive(reader, graph)
-            continue
-        _parse_subject_block(reader, graph)
+    prefixes = graph.prefixes
+    add = graph.triples.add
+    # One str per distinct IRI: a graph repeats each IRI in many triples.
+    iris: dict[str, str] = {}
+    tokens = _TOKEN_RE.finditer(text)
 
+    def iri(name: str, at: int) -> str:
+        if name[0] == "<":
+            name = name[1:-1]
+        else:
+            prefix, _, local = name.partition(":")
+            if prefix not in prefixes:
+                raise TurtleSyntax(f"undeclared prefix {prefix!r}",
+                                   *_location(text, at))
+            name = prefixes[prefix] + local
+        return iris.setdefault(name, name)
 
-def _parse_directive(reader: _TurtleReader, graph: RdfGraph) -> None:
-    if reader.try_take("@prefix"):
-        reader.skip_ws()
-        match = _PNAME_RE.match(reader.text, reader.pos)
-        if not match or match.group(2):
-            reader.fail("expected a prefix name ending in ':'")
-        prefix = match.group(1) or ""
-        reader.pos = match.end()
-        reader.skip_ws()
-        namespace = _parse_iriref(reader)
-        reader.skip_ws()
-        reader.take(".")
-        graph.prefixes[prefix] = namespace
-    elif reader.text.startswith("@base", reader.pos):
-        reader.unsupported("@base directive")
-    else:
-        reader.fail("unknown directive")
-
-
-def _parse_subject_block(reader: _TurtleReader, graph: RdfGraph) -> None:
-    subject = _parse_resource(reader, graph, role="subject")
-    while True:
-        reader.skip_ws()
-        predicate = _parse_predicate(reader, graph)
-        while True:
-            reader.skip_ws()
-            obj = _parse_object(reader, graph)
-            graph.add(subject, predicate, obj)
-            reader.skip_ws()
-            if not reader.try_take(","):
-                break
-        if reader.try_take(";"):
-            reader.skip_ws()
-            if reader.try_take("."):  # tolerate "; ." tail
-                return
-            continue
-        reader.take(".")
-        return
-
-
-def _parse_predicate(reader: _TurtleReader, graph: RdfGraph) -> str:
-    if reader.peek() == "a":
-        after = reader.text[reader.pos + 1:reader.pos + 2]
-        if after == "" or after in _WS or after in "<":
-            reader.pos += 1
+    def term(m: re.Match, role: str) -> Term:
+        kind = m.lastgroup
+        if kind == "iri":
+            return iri(m["iri"], m.start(kind))
+        if kind == "a" and role == "predicate":
             return vocab.RDF_TYPE
-    return _parse_resource(reader, graph, role="predicate")
+        if kind == "string" and role == "object":
+            lexical = m["lexical"]
+            if "\\" in lexical:
+                lexical = _UNESCAPE_RE.sub(
+                    lambda e: _UNESCAPES.get(e[1]) or chr(int(e[1][1:], 16)),
+                    lexical)
+            datatype = m["datatype"]
+            if datatype is None:
+                return Literal(lexical)
+            return Literal(lexical, iri(datatype, m.start("datatype")))
+        if kind == "number" and role == "object":
+            lexical = m["number"]
+            if m["exponent"]:
+                return Literal(lexical, vocab.XSD + "double")
+            return Literal(lexical, vocab.XSD_DECIMAL if "." in lexical
+                           else vocab.XSD_INTEGER)
+        raise _error(text, m, f"an IRI or prefixed name as {role}",
+                     _UNSUPPORTED[role])
 
-
-def _parse_resource(reader: _TurtleReader, graph: RdfGraph, role: str) -> str:
-    ch = reader.peek()
-    if ch == "<":
-        return _parse_iriref(reader)
-    if ch == "[":
-        reader.unsupported("blank node")
-    if ch == "(":
-        reader.unsupported("collection")
-    if reader.text.startswith("_:", reader.pos):
-        reader.unsupported("blank node label")
-    match = _PNAME_RE.match(reader.text, reader.pos)
-    if match:
-        prefix = match.group(1) or ""
-        local = match.group(2) or ""
-        if prefix not in graph.prefixes:
-            reader.fail(f"undeclared prefix {prefix!r}")
-        reader.pos = match.end()
-        iri = graph.prefixes[prefix] + local
-        return reader.iris.setdefault(iri, iri)
-    reader.fail(f"expected an IRI or prefixed name as {role}")
-    raise AssertionError("unreachable")
-
-
-def _parse_iriref(reader: _TurtleReader) -> str:
-    reader.take("<")
-    end = reader.text.find(">", reader.pos)
-    if end < 0:
-        reader.fail("unterminated IRI")
-    iri = reader.text[reader.pos:end]
-    shared = reader.iris.get(iri)
-    if shared is None:
-        # Every IRI already shared is legal, so each is checked once.
-        if any(c in iri for c in ' "{}|^`\n\r\t') or "<" in iri:
-            reader.fail("illegal character in IRI")
-        shared = reader.iris[iri] = iri
-    reader.pos = end + 1
-    return shared
-
-
-def _parse_object(reader: _TurtleReader, graph: RdfGraph) -> Term:
-    ch = reader.peek()
-    if ch == '"':
-        return _parse_literal(reader, graph)
-    if ch == "'":
-        reader.unsupported("single-quoted string")
-    if ch.isdigit() or (ch in "+-." and _NUMBER_RE.match(reader.text, reader.pos)):
-        return _parse_number(reader)
-    return _parse_resource(reader, graph, role="object")
-
-
-def _parse_number(reader: _TurtleReader) -> Literal:
-    match = _NUMBER_RE.match(reader.text, reader.pos)
-    if not match:
-        reader.fail("malformed number")
-    lexical = match.group(0)
-    reader.pos = match.end()
-    if match.group(2):
-        datatype = vocab.XSD + "double"
-    elif "." in lexical:
-        datatype = vocab.XSD_DECIMAL
-    else:
-        datatype = vocab.XSD_INTEGER
-    return Literal(lexical, datatype)
-
-
-def _parse_literal(reader: _TurtleReader, graph: RdfGraph) -> Literal:
-    if reader.text.startswith('"""', reader.pos):
-        reader.unsupported("long string literal")
-    reader.take('"')
-    out: list[str] = []
-    while True:
-        if reader.at_end():
-            reader.fail("unterminated string literal")
-        ch = reader.text[reader.pos]
-        if ch == '"':
-            reader.pos += 1
+    for m in tokens:
+        if m.lastgroup == "end":
             break
-        if ch in "\n\r":
-            reader.fail("newline inside string literal")
-        if ch == "\\":
-            out.append(_parse_escape(reader))
+        if m.lastgroup == "directive":
+            name = next(tokens)
+            if name.lastgroup != "iri" or not name["iri"].endswith(":"):
+                raise _error(text, name, "a prefix name ending in ':'")
+            namespace = next(tokens)
+            if namespace.lastgroup != "iri" or namespace["iri"][0] != "<":
+                raise _error(text, namespace, "an IRI")
+            m = next(tokens)
+            if m.lastgroup != "dot":
+                raise _error(text, m, "'.'")
+            prefixes[name["iri"][:-1]] = namespace["iri"][1:-1]
             continue
-        out.append(ch)
-        reader.pos += 1
-    lexical = "".join(out)
-    if reader.try_take("^^"):
-        datatype = _parse_resource(reader, graph, role="datatype")
-        return Literal(lexical, datatype)
-    if reader.peek() == "@":
-        reader.unsupported("language tag")
-    return Literal(lexical)
+        subject = term(m, "subject")
+        m = next(tokens)
+        while True:
+            predicate = term(m, "predicate")
+            while True:
+                add(Triple(subject, predicate, term(next(tokens), "object")))
+                m = next(tokens)
+                if m.lastgroup != "comma":
+                    break
+            if m.lastgroup == "semicolon":
+                m = next(tokens)
+                if m.lastgroup != "dot":  # else the tolerated "; ." tail
+                    continue
+            elif m.lastgroup != "dot":
+                raise _error(text, m, "'.'")
+            break
+    return graph
 
 
-_UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
-              '"': '"', "'": "'", "\\": "\\"}
+def _location(text: str, at: int) -> tuple[int, int]:
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
-def _parse_escape(reader: _TurtleReader) -> str:
-    reader.pos += 1  # consume backslash
-    if reader.at_end():
-        reader.fail("dangling escape")
-    ch = reader.text[reader.pos]
-    reader.pos += 1
-    simple = _UNESCAPES.get(ch)
-    if simple is not None:
-        return simple
-    if ch in "uU":
-        width = 4 if ch == "u" else 8
-        digits = reader.text[reader.pos:reader.pos + width]
-        if len(digits) != width or any(d not in "0123456789abcdefABCDEF"
-                                       for d in digits):
-            reader.fail(f"malformed \\{ch} escape")
-        reader.pos += width
-        return chr(int(digits, 16))
-    reader.fail(f"unknown escape \\{ch}")
-    raise AssertionError("unreachable")
+def _error(text: str, m: re.Match, expected: str,
+           constructs: dict[str, str] | None = None) -> MuseAnnoError:
+    """The error for token ``m`` where the parser wants ``expected``.
+
+    A language tag, or where no token starts a construct in
+    ``constructs``, is unsupported.  A broken string or IRI is reported
+    where it breaks, and anything else is a syntax error.
+    """
+    at = m.start(m.lastgroup)
+    if at and text.startswith('"@', at - 1):
+        return UnsupportedConstruct("language tag", *_location(text, at))
+    message = f"expected {expected}"
+    if m.lastgroup != "error":
+        return TurtleSyntax(message, *_location(text, at))
+    for opener, construct in (constructs or {}).items():
+        if text.startswith(opener, at):
+            return UnsupportedConstruct(construct, *_location(text, at))
+    if text.startswith('"', at):
+        end = _STRING_HEAD_RE.match(text, at).end()
+        stop = text[end:end + 1]
+        if stop != '"':
+            at = end
+            message = ("unterminated string literal" if not stop
+                       else "newline inside string literal" if stop in "\r\n"
+                       else "invalid escape (not a Turtle string escape or "
+                            "Unicode scalar value)")
+    elif text.startswith("<", at):
+        message = ("unterminated IRI" if text.find(">", at) < 0
+                   else "illegal character in IRI")
+        at += 1
+    return TurtleSyntax(message, *_location(text, at))

@@ -174,6 +174,22 @@ def test_validate_reports_unparseable_json_and_goes_on(tmp_path, capsys_run,
     assert json.loads(out)["code"] == "W2"
 
 
+def test_convert_reports_a_lone_surrogate_and_goes_on(tmp_path, capsys_run):
+    bad = tmp_path / "a_surrogate.jams"
+    bad.write_bytes(BOHEMIAN.read_bytes().replace(b'"N"', b'"\\ud800"'))
+    good = tmp_path / "b_michelle.jams"
+    good.write_bytes(MICHELLE.read_bytes())
+    out_dir = tmp_path / "out"
+    code, out, err = capsys_run("convert", str(bad), str(good),
+                                "--modality", "audio", "-o", str(out_dir))
+    assert code == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "MalformedJson"
+    assert diagnostic["path"] == str(bad)
+    assert [path.name for path in out_dir.iterdir()] == ["b_michelle.ttl"]
+    assert out.startswith(str(out_dir / "b_michelle.ttl"))
+
+
 def test_convert_refuses_inputs_sharing_an_output_name(tmp_path, capsys_run):
     first, second = tmp_path / "a" / "x.jams", tmp_path / "b" / "x.jams"
     for path in (first, second):
@@ -274,3 +290,13 @@ def test_module_entrypoint_subprocess(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 1
     assert "missing.jams" in result.stderr
+
+
+def test_package_imports_only_the_standard_library():
+    probe = ("import sys; before = set(sys.modules); import muse_anno.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, check=True)
+    loaded = {name.partition(".")[0] for name in result.stdout.split()}
+    assert "muse_anno" in loaded
+    assert loaded - {"muse_anno"} <= sys.stdlib_module_names

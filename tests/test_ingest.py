@@ -22,11 +22,14 @@ from muse_anno import (
 from muse_anno.errors import (
     MalformedJson,
     MissingField,
+    MuseAnnoError,
     ScoreLoweringMissingMetricalTime,
     TypeMismatch,
     UnsupportedNamespace,
 )
 from muse_anno.util import canonical_json
+
+from conftest import FIXTURES
 
 EMPTY_CORPUS = ('{"annotations":[],"file_metadata":{"jams_version":"0.2.0",'
                 '"title":"","artist":"","duration":0},"sandbox":{}}')
@@ -129,6 +132,61 @@ def test_deep_nesting_reports_malformed():
     with pytest.raises(MalformedJson) as excinfo:
         parse_jams(b"[" * 100_000)
     assert (excinfo.value.line, excinfo.value.column) == (1, 100_000)
+
+
+@pytest.mark.parametrize("title", [r"\ud800", r"x\uDFFFy", r"\udfb5\ud83c",
+                                   r"\\\ud83c", r"\ud83cA"])
+def test_lone_surrogate_escape_reports_malformed_at_the_string(title):
+    text = EMPTY_CORPUS.replace('"title":""', f'\n  "title":"{title}"')
+    for data in (text, text.encode("utf-8")):
+        with pytest.raises(MalformedJson) as excinfo:
+            parse_jams(data)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 11)
+
+
+def test_raw_lone_surrogate_in_str_reports_malformed():
+    text = EMPTY_CORPUS.replace('"title":""', '"title":"a\ud800"')
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(text)
+    assert (excinfo.value.line, excinfo.value.column) == \
+        (1, text.index("\ud800") + 1)
+
+
+def test_surrogate_pairs_and_escaped_backslashes_are_kept():
+    text = EMPTY_CORPUS.replace('"title":""',
+                                r'"title":"🎵 \\ud800"')
+    assert parse_jams(text.encode()).file_metadata.title == \
+        "\U0001f3b5 \\ud800"
+
+
+_FIXTURE_BYTES = (FIXTURES / "bohemian_rhapsody.jams").read_bytes()
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(
+        ["annotations", "file_metadata", "sandbox", "namespace", "data",
+         "time", "duration", "value", "confidence", "annotation_metadata",
+         "curator", "annotator", "title"]), inner, max_size=4),
+    max_leaves=12)
+
+
+def _byte_edit(where: int, byte: int) -> bytes:
+    where %= len(_FIXTURE_BYTES)
+    return _FIXTURE_BYTES[:where] + bytes([byte]) + _FIXTURE_BYTES[where + 1:]
+
+
+@given(st.one_of(
+    st.binary(max_size=200),
+    _json_values.map(lambda value: json.dumps(value).encode()),
+    st.builds(_byte_edit, st.integers(min_value=0),
+              st.integers(min_value=0, max_value=255))))
+@settings(max_examples=200)
+def test_parse_jams_raises_only_package_errors(data):
+    try:
+        parse_jams(data)
+    except MuseAnnoError:
+        pass
 
 
 def test_time_type_mismatch_names_path():

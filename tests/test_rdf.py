@@ -22,11 +22,12 @@ from muse_anno import (
 from muse_anno import answer_cq, vocab
 from muse_anno.errors import (
     InvalidBase,
+    MuseAnnoError,
     TurtleSyntax,
     UnsupportedConstruct,
     UnvalidatedModel,
 )
-from muse_anno.rdf import _escape_string
+from muse_anno.rdf import _escape_string, nt_term
 
 from conftest import GOLDEN
 from injections import BROKEN_MODELS
@@ -224,7 +225,6 @@ def test_turtle_prefix_choice_round_trips(prefixes, triples, body):
 
 
 def test_ntriples_sorted_by_term_codepoints(bohemian_graph):
-    from muse_anno.rdf import nt_term
     lines = serialize_ntriples(bohemian_graph).splitlines()
     assert len(lines) == len(bohemian_graph)
     keys = [(t.subject, t.predicate, nt_term(t.object))
@@ -233,6 +233,14 @@ def test_ntriples_sorted_by_term_codepoints(bohemian_graph):
     # Both serializations present triples in the same order.
     first_subject = keys[0][0]
     assert lines[0].startswith(f"<{first_subject}>")
+
+
+def test_ntriples_render_the_sorted_triples(bohemian_graph):
+    for graph in (emit_graph(build_mozart_model()),
+                  emit_graph(build_michelle_model()), bohemian_graph):
+        expected = "".join(f"<{t.subject}> <{t.predicate}> {nt_term(t.object)} .\n"
+                           for t in graph.sorted_triples())
+        assert serialize_ntriples(graph) == expected
 
 
 def test_turtle_golden_mozart():
@@ -385,3 +393,151 @@ def test_parse_preserves_literal_lexical_forms():
         'ex:a ex:p "1.500"^^xsd:decimal .')
     triple = next(iter(graph.triples))
     assert triple.object == Literal("1.500", vocab.XSD_DECIMAL)
+
+
+P = "@prefix ex: <http://e/> .\n"
+SYNTAX, UNSUPPORTED = TurtleSyntax, UnsupportedConstruct
+
+# What the earlier character-at-a-time parser did with each input: the
+# error class and line, or the number of triples parsed.  Two changes are
+# deliberate: a datatype that is no IRI is a syntax error (``^^[`` was an
+# unsupported blank node), and so is an escape that names no Unicode
+# scalar value (see test_parse_rejects_escapes_that_are_not_scalar_values).
+PINNED = [
+    (P + 'ex:a ex:p .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "unterminated', (SYNTAX, 2)),
+    ('zz:a zz:p zz:b .', (SYNTAX, 1)),
+    (P + 'ex:a ex:p ex:b ; .', 1),
+    (P + 'ex:a ex:p ex:b ;\n  ex:q ex:c ; .', 2),
+    (P + 'ex:a ex:p [] .', (UNSUPPORTED, 2)),
+    (P + '_:b ex:p ex:a .', (UNSUPPORTED, 2)),
+    (P + 'ex:a ex:p (1 2) .', (UNSUPPORTED, 2)),
+    (P + 'ex:a ex:p """x""" .', (UNSUPPORTED, 2)),
+    (P + 'ex:a ex:p "x"@en .', (UNSUPPORTED, 2)),
+    (P + 'ex:a ex:p "1"@prefix .', (UNSUPPORTED, 2)),
+    ('@base <http://e/> .', (UNSUPPORTED, 1)),
+    (P + "ex:a ex:p 'x' .", (UNSUPPORTED, 2)),
+    ('@prefix ex <http://e/> .', (SYNTAX, 1)),
+    ('@prefix ex:a <http://e/> .', (SYNTAX, 1)),
+    ('@prefix ex: <http://e/>', (SYNTAX, 1)),
+    ('@prefix ex: <http://e/', (SYNTAX, 1)),
+    ('@prefix ex: http://e/ .', (SYNTAX, 1)),
+    ('@foo <http://e/> .', (SYNTAX, 1)),
+    (P + '<http://e/a b> ex:p ex:b .', (SYNTAX, 2)),
+    (P + '<http://e/a\nb> ex:p ex:b .', (SYNTAX, 2)),
+    (P + '<http://e/a<b> ex:p ex:b .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p ex:b', (SYNTAX, 2)),
+    (P + 'ex:a ex:p ex:b ex:c .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "x\\q" .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "x\\u12" .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "x\\', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "a\nb" .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "a\rb" .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "x"^^[ .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "x" ^^ex:d .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "x"^^zz:d .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "x"^^<http://e/ d> .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p + .', (SYNTAX, 2)),
+    (P + 'ex:a ab ex:b .', (SYNTAX, 2)),
+    (P + 'ex:a a# comment\n ex:b .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p ex:b ,, .', (SYNTAX, 2)),
+    (P + 'ex:a ; .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p ex:b ; ; .', (SYNTAX, 2)),
+    (':a :p :b .', (SYNTAX, 1)),
+    (P + 'ex:a ex:-p ex:b .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p ex:b.c .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "x""y" .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p "x"^^ex:d@en .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p ex:b [ .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p ex:b\n\n  (', (SYNTAX, 4)),
+    (P + 'a ex:p ex:b .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p a .', (SYNTAX, 2)),
+    (P + '1 ex:p ex:b .', (SYNTAX, 2)),
+    (P + 'ex:a "p" ex:b .', (SYNTAX, 2)),
+    (P + '"x" ex:p ex:b .', (SYNTAX, 2)),
+    (P + '"""x""" ex:p ex:b .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p ex:b .5 .', (SYNTAX, 2)),
+    (P + 'ex:a ex:p @base .', (SYNTAX, 2)),
+    (P + 'ex:a [ ex:b .', (UNSUPPORTED, 2)),
+    (P + "'x' ex:p ex:b .", (SYNTAX, 2)),
+    (P + 'ex:a ex:p @prefix .', (SYNTAX, 2)),
+    ('@prefix [ .', (SYNTAX, 1)),
+    ('@prefix ex: [ .', (SYNTAX, 1)),
+    ('@prefix ex: <http://e/> [', (SYNTAX, 1)),
+    (P + '# only a comment\n\nex:a\n  ex:p\n  ex:b\n  ex:c .', (SYNTAX, 7)),
+    (P + 'ex:a ex:p ex:b ;\n ex:q """long""" .', (UNSUPPORTED, 3)),
+    (P + 'ex:a ex:p ex:b . ]', (SYNTAX, 2)),
+    (P + 'ex:a ex:p\n  <http://e/b', (SYNTAX, 3)),
+    (P + 'ex:a ex:p ex:b ;\n', (SYNTAX, 3)),
+    (P + 'ex:a ex:p ex:b ,', (SYNTAX, 2)),
+    (P + 'ex:a ex:p 1e5, .5, -2, +3.0 .', 4),
+    (P + 'ex:a a<http://e/B> .', 1),
+    ('', 0),
+    ('   \n# nothing\n', 0),
+    (P + '@prefix ex: <http://f/> .\nex:a ex:p ex:b .', 1),
+]
+
+
+@pytest.mark.parametrize("text, expected", PINNED)
+def test_parse_keeps_each_error_class_and_line(text, expected):
+    if isinstance(expected, int):
+        assert len(parse_turtle(text)) == expected
+        return
+    error, line = expected
+    with pytest.raises(MuseAnnoError) as excinfo:
+        parse_turtle(text)
+    assert type(excinfo.value) is error
+    assert excinfo.value.line == line
+
+
+@pytest.mark.parametrize("escape", ["\\UFFFFFFFF", "\\U00110000", "\\uD800",
+                                    "\\udfff", "\\U0000DC00"])
+def test_parse_rejects_escapes_that_are_not_scalar_values(escape):
+    with pytest.raises(TurtleSyntax) as excinfo:
+        parse_turtle(P + f'ex:a ex:p "ok" ;\n  ex:q "x{escape}" .')
+    assert (excinfo.value.line, excinfo.value.column) == (3, 10)
+
+
+def test_parse_decodes_escapes_up_to_the_last_scalar_value():
+    graph = parse_turtle(
+        P + 'ex:a ex:p "\\uD7FF\\uE000\\U0010FFFF\\U0001f3b5 \\t\\\\u0041" .')
+    assert next(iter(graph.triples)).object == Literal(
+        "\ud7ff\ue000\U0010ffff\U0001f3b5 \t\\u0041")
+
+
+def _parses_or_refuses(text: str) -> None:
+    try:
+        parse_turtle(text)
+    except (TurtleSyntax, UnsupportedConstruct):
+        pass
+
+
+_TURTLE_BITS = st.sampled_from(
+    ["<", ">", '"', "'", "\\", ":", ";", ",", ".", "@", "#", "^", "[", "(",
+     "_", "a", "e", "x", "1", "+", "u", "U", "D", " ", "\n", "\r"])
+_EMITTED_TURTLE = [serialize_turtle(emit_graph(build_mozart_model())),
+                   serialize_turtle(emit_graph(build_michelle_model()))]
+
+
+@given(st.sampled_from(["", P]),
+       st.lists(st.one_of(_TURTLE_BITS, st.sampled_from(
+           ["ex:a ", "<http://e/x>", '"""', "\\u", "\\U", "@prefix",
+            "@base", "_:", "^^"]), st.characters()), max_size=30))
+@settings(max_examples=200)
+def test_parse_any_text_returns_a_graph_or_refuses_it(head, pieces):
+    _parses_or_refuses(head + "".join(pieces))
+
+
+@given(st.sampled_from(_EMITTED_TURTLE), st.integers(min_value=0),
+       st.sampled_from(["delete", "insert", "replace"]),
+       st.one_of(_TURTLE_BITS, st.characters()))
+@settings(max_examples=200)
+def test_parse_one_character_edits_of_emitted_turtle(text, where, edit, char):
+    where %= len(text)
+    if edit == "delete":
+        text = text[:where] + text[where + 1:]
+    elif edit == "insert":
+        text = text[:where] + char + text[where:]
+    else:
+        text = text[:where] + char + text[where + 1:]
+    _parses_or_refuses(text)
