@@ -20,7 +20,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .cq import answer_cq
-from .errors import MuseAnnoError, SubjectNotFound
+from .errors import MuseAnnoError
 from .ingest import (
     JamsDocument,
     LoweringOptions,
@@ -138,6 +138,13 @@ def _input_files(args) -> tuple[list[Path], int]:
     return sorted(files), status
 
 
+def _file_error(args, path: Path, exc: Exception) -> int:
+    """Report a file that could not be read, parsed or written; status 1."""
+    kind = "io" if isinstance(exc, OSError) else type(exc).__name__
+    _diag(args, path, kind, str(exc))
+    return 1
+
+
 def _pick_modality(args, doc: JamsDocument, path: Path) -> Modality | None:
     """Resolve the modality flag; None means abort with a usage error."""
     if args.modality == "audio":
@@ -213,9 +220,8 @@ def cmd_convert(args) -> int:
                 text = serialize_ntriples(graph)
             _atomic_write(target, text)
             print(f"{target}\t{len(graph)}")
-        except MuseAnnoError as exc:
-            _diag(args, path, type(exc).__name__, str(exc))
-            status = 1
+        except (MuseAnnoError, OSError) as exc:
+            status = _file_error(args, path, exc)
     return status
 
 
@@ -247,9 +253,8 @@ def cmd_validate(args) -> int:
                     print(violation.to_json_line())
                 if violation.severity is Severity.ERROR:
                     status = 1
-        except MuseAnnoError as exc:
-            _diag(args, path, type(exc).__name__, str(exc))
-            status = 1
+        except (MuseAnnoError, OSError) as exc:
+            status = _file_error(args, path, exc)
     return status
 
 
@@ -264,12 +269,8 @@ def cmd_query(args) -> int:
             return code
         graph = emit_graph(model)
         result = answer_cq(args.cq, graph, args.subject)
-    except SubjectNotFound as exc:
-        _diag(args, path, "SubjectNotFound", str(exc))
-        return 1
-    except MuseAnnoError as exc:
-        _diag(args, path, type(exc).__name__, str(exc))
-        return 1
+    except (MuseAnnoError, OSError) as exc:
+        return _file_error(args, path, exc)
     sys.stdout.write(result.to_tsv())
     return 0
 
@@ -288,9 +289,8 @@ def cmd_stats(args) -> int:
     for path in files:
         try:
             doc = parse_jams(path.read_bytes())
-        except MuseAnnoError as exc:
-            _diag(args, path, type(exc).__name__, str(exc))
-            status = 1
+        except (MuseAnnoError, OSError) as exc:
+            status = _file_error(args, path, exc)
             continue
         parsed += 1
         minter = IriMinter(_base_iri(args))

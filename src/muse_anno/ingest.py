@@ -191,8 +191,9 @@ def parse_jams(data: bytes | str) -> JamsDocument:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise MalformedJson(f"invalid UTF-8: {exc.reason}", 1, exc.start + 1) \
-                from exc
+            valid = data[:exc.start].decode("utf-8")
+            raise _json_error_at(valid, len(valid),
+                                 f"invalid UTF-8: {exc.reason}") from exc
     else:
         text = data
         if not text.isascii():

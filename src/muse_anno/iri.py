@@ -25,17 +25,33 @@ _BAD_IRI_CHARS = set(' <>"{}|\\^`\n\r\t')
 
 def is_absolute_iri(text: str) -> bool:
     """Cheap syntactic check: has a scheme, no whitespace or angle brackets."""
-    if not text or not _SCHEME_RE.match(text):
-        return False
-    return not any(ch in _BAD_IRI_CHARS for ch in text)
+    return bool(text and _SCHEME_RE.match(text)
+                and _BAD_IRI_CHARS.isdisjoint(text))
+
+
+_SLUG_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
+_NON_SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 
 def slug(text: str) -> str:
     """Lowercased ASCII path segment: runs of other characters become '-'."""
+    if _SLUG_RE.fullmatch(text):  # already a slug, as row indices are
+        return text
     normalized = unicodedata.normalize("NFKD", text)
     ascii_text = normalized.encode("ascii", "ignore").decode("ascii").lower()
-    collapsed = re.sub(r"[^a-z0-9]+", "-", ascii_text).strip("-")
-    return collapsed or "x"
+    return _NON_SLUG_RE.sub("-", ascii_text).strip("-") or "x"
+
+
+def _root(base: str) -> str:
+    if not is_absolute_iri(base):
+        raise InvalidBase(base)
+    return base if base.endswith(("/", "#")) else base + "/"
+
+
+def _join(root: str, entity_role: str, discriminators: list[str]) -> str:
+    if not discriminators:
+        raise ValueError("discriminators must be non-empty")
+    return root + slug(entity_role) + "/" + "/".join(map(slug, discriminators))
 
 
 def mint_iri(base: str, entity_role: str, discriminators: list[str]) -> str:
@@ -44,12 +60,7 @@ def mint_iri(base: str, entity_role: str, discriminators: list[str]) -> str:
     Same inputs always give the same IRI.  Collision handling between
     *distinct* entities whose slugs coincide is the job of IriMinter.
     """
-    if not is_absolute_iri(base):
-        raise InvalidBase(base)
-    if not discriminators:
-        raise ValueError("discriminators must be non-empty")
-    root = base if base.endswith(("/", "#")) else base + "/"
-    return root + slug(entity_role) + "/" + "/".join(slug(d) for d in discriminators)
+    return _join(_root(base), entity_role, discriminators)
 
 
 class IriMinter:
@@ -62,8 +73,7 @@ class IriMinter:
     """
 
     def __init__(self, base: str):
-        if not is_absolute_iri(base):
-            raise InvalidBase(base)
+        self._root = _root(base)
         self.base = base
         self._by_key: dict[object, str] = {}
         self._used: set[str] = set()
@@ -74,7 +84,7 @@ class IriMinter:
         existing = self._by_key.get(identity)
         if existing is not None:
             return existing
-        iri = mint_iri(self.base, entity_role, discriminators)
+        iri = _join(self._root, entity_role, discriminators)
         candidate = iri
         ordinal = 2
         while candidate in self._used:

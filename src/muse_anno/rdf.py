@@ -1,16 +1,13 @@
 """RDF materialization: graph type, emitter, serializers, Turtle parser.
 
-The graph is a plain set of triples with a prefix map.  Lookups by
-subject or predicate go through a hash index that the first lookup builds
-and ``add`` drops, so building a graph pays nothing for it and a query
-never scans it.
-Everything here is deterministic by construction: entity IRIs come from
-the minting scheme, prefixes are sorted by name, and literals keep their
-source lexical forms.  Triples are put in (subject, predicate, object)
-codepoint order only at serialization time: both serializers group the
-triples by subject and sort the subjects and then each subject's few
-triples.  Serializing the same graph twice yields identical bytes on any
-platform.
+The graph stores its triples subject -> predicate -> objects, with a
+prefix map and a hash index by predicate and object that the first
+lookup needing it builds and ``add`` drops, so building a graph pays
+nothing for the index and a query never scans.  Everything here is
+deterministic by construction: entity IRIs come from the minting scheme,
+prefixes are sorted by name, literals keep their source lexical forms,
+and both serializers walk the subjects and each subject's predicates in
+sorted order, so one graph always yields the same bytes on any platform.
 
 ``parse_turtle`` understands exactly the subset ``serialize_turtle``
 emits (prefix declarations, IRIs, prefixed names, ``a``, typed and plain
@@ -25,7 +22,7 @@ token starts is classified only when the error is raised.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from . import vocab
@@ -46,9 +43,6 @@ class Literal:
 
 
 Term = str | Literal  # IRIs travel as bare strings
-# subject -> predicate -> objects, and predicate -> object -> subjects.
-_Index = tuple[dict[str, dict[str, list[Term]]],
-               dict[str, dict[Term, list[str]]]]
 
 
 class Triple(NamedTuple):
@@ -57,94 +51,119 @@ class Triple(NamedTuple):
     object: Term
 
 
-@dataclass(eq=False)
-class RdfGraph:
-    """Set of triples plus a prefix map; equality is plain set equality.
+def _each(objects: Term | set[Term]) -> set[Term] | tuple[Term]:
+    return objects if isinstance(objects, set) else (objects,)
 
-    ``triples`` is the only storage.  The first lookup builds an index in
-    one pass over it: subject -> predicate -> objects (ordered by their
-    N-Triples form) and predicate -> object -> subjects (in codepoint
-    order), so lookups return what a scan of the sorted triples would, in
-    the same order.  ``add`` drops the index; only the serializers put
-    the whole graph in order.
+
+class RdfGraph:
+    """Triples stored subject -> predicate -> objects, plus a prefix map;
+    equality is equality of the triple sets and the prefix maps.
+
+    A (subject, predicate) pair holds the bare term while it has one
+    object, as nearly every pair does, and a set from the second on, so
+    ``add`` builds no triple and the serializers walk the sorted map.  The
+    first lookup that needs them builds predicate -> object -> sorted
+    subjects and the multi-valued pairs' objects in N-Triples order, which
+    ``add`` drops; lookups answer as a scan of the sorted triples would.
     """
 
-    triples: set[Triple] = field(default_factory=set)
-    prefixes: dict[str, str] = field(default_factory=dict)
-    _index: _Index | None = field(default=None, repr=False)
-
-    def add(self, subject: str, predicate: str, obj: Term) -> None:
-        self.triples.add(Triple(subject, predicate, obj))
+    def __init__(self, prefixes: dict[str, str] | None = None):
+        self.prefixes = {} if prefixes is None else prefixes
+        self._spo: dict[str, dict[str, Term | set[Term]]] = {}
+        self._count = 0
         self._index = None
 
+    def add(self, subject: str, predicate: str, obj: Term) -> None:
+        predicates = self._spo.get(subject)
+        if predicates is None:
+            self._spo[subject] = {predicate: obj}
+        elif (objects := predicates.get(predicate)) is None:
+            predicates[predicate] = obj
+        elif obj in _each(objects):
+            return
+        elif isinstance(objects, set):
+            objects.add(obj)
+        else:
+            predicates[predicate] = {objects, obj}
+        self._count += 1
+        self._index = None
+
+    @property
+    def triples(self) -> frozenset[Triple]:
+        """Every triple, as a set built on each call."""
+        return frozenset(self.matching())
+
     def __len__(self) -> int:
-        return len(self.triples)
+        return self._count
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self.triples
+        objects = self._spo.get(triple[0], {}).get(triple[1])
+        return objects is not None and triple[2] in _each(objects)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RdfGraph):
             return NotImplemented
-        return self.triples == other.triples and self.prefixes == other.prefixes
+        return self._spo == other._spo and self.prefixes == other.prefixes
 
     def sorted_triples(self) -> list[Triple]:
-        return sorted(self.triples, key=_triple_key)
+        return list(self.matching())
 
-    def _lookup(self) -> _Index:
+    def _walk(self) -> Iterator[tuple[str, list[tuple[str, Term | list[Term]]]]]:
+        """Each subject and its (predicate, objects) pairs in codepoint order;
+        a multi-valued pair's objects are a list in N-Triples order."""
+        for subject in sorted(self._spo):
+            yield subject, [(p, sorted(objects, key=nt_term)
+                             if isinstance(objects, set) else objects)
+                            for p, objects in sorted(self._spo[subject].items())]
+
+    def _lookup(self) -> tuple[dict[str, dict[Term, list[str]]],
+                               dict[tuple[str, str], list[Term]]]:
         if self._index is None:
-            by_subject: dict[str, dict[str, list[Term]]] = {}
-            by_predicate: dict[str, dict[Term, list[str]]] = {}
-            for s, p, o in self.triples:
-                by_subject.setdefault(s, {}).setdefault(p, []).append(o)
-                by_predicate.setdefault(p, {}).setdefault(o, []).append(s)
-            for predicates in by_subject.values():
-                for objects in predicates.values():
-                    if len(objects) > 1:
-                        objects.sort(key=nt_term)
-            for objects_map in by_predicate.values():
-                for subjects in objects_map.values():
-                    if len(subjects) > 1:
-                        subjects.sort()
-            self._index = by_subject, by_predicate
+            by_predicate, ordered = {}, {}
+            # Subjects in order, so that every subject list comes sorted.
+            for s in sorted(self._spo):
+                for p, objects in self._spo[s].items():
+                    if isinstance(objects, set):
+                        objects = ordered[s, p] = sorted(objects, key=nt_term)
+                    by_object = by_predicate.setdefault(p, {})
+                    for o in objects if isinstance(objects, list) else (objects,):
+                        by_object.setdefault(o, []).append(s)
+            self._index = by_predicate, ordered
         return self._index
+
+    def objects(self, subject: str, predicate: str) -> list[Term]:
+        objects = self._spo.get(subject, {}).get(predicate)
+        if isinstance(objects, set):
+            return list(self._lookup()[1][subject, predicate])
+        return [] if objects is None else [objects]
+
+    def value(self, subject: str, predicate: str) -> Term | None:
+        objects = self._spo.get(subject, {}).get(predicate)
+        if isinstance(objects, set):
+            return self._lookup()[1][subject, predicate][0]
+        return objects
 
     def matching(self, subject: str | None = None, predicate: str | None = None,
                  obj: Term | None = None) -> Iterator[Triple]:
         """Triples matching the given terms, in sorted triple order."""
         if subject is not None:
-            predicates = self._lookup()[0].get(subject, {})
-            for p in sorted(predicates) if predicate is None else [predicate]:
-                for o in predicates.get(p, ()):
-                    if obj is None or o == obj:
-                        yield Triple(subject, p, o)
+            subjects = [subject]
         elif predicate is not None:
-            objects = self._lookup()[1].get(predicate, {})
-            if obj is not None:
-                for s in objects.get(obj, ()):
-                    yield Triple(s, predicate, obj)
-            else:
-                yield from sorted((Triple(s, predicate, o)
-                                   for o, subjects in objects.items()
-                                   for s in subjects), key=_triple_key)
+            subjects = self.subjects(predicate, obj)
         else:
-            yield from sorted((t for t in self.triples
-                               if obj is None or t.object == obj),
-                              key=_triple_key)
-
-    def objects(self, subject: str, predicate: str) -> list[Term]:
-        return list(self._lookup()[0].get(subject, {}).get(predicate, ()))
-
-    def value(self, subject: str, predicate: str) -> Term | None:
-        found = self._lookup()[0].get(subject, {}).get(predicate)
-        return found[0] if found else None
+            subjects = sorted(self._spo)
+        for s in subjects:
+            for p in sorted(self._spo.get(s, ())) if predicate is None \
+                    else [predicate]:
+                for o in self.objects(s, p):
+                    if obj is None or o == obj:
+                        yield Triple(s, p, o)
 
     def subjects(self, predicate: str | None = None,
                  obj: Term | None = None) -> list[str]:
         if predicate is None:
-            return sorted({t.subject for t in self.triples
-                           if obj is None or t.object == obj})
-        objects = self._lookup()[1].get(predicate, {})
+            return sorted({t.subject for t in self.matching(obj=obj)})
+        objects = self._lookup()[0].get(predicate, {})
         if obj is not None:
             return list(objects.get(obj, ()))
         return sorted({s for subjects in objects.values() for s in subjects})
@@ -152,10 +171,6 @@ class RdfGraph:
     def types_of(self, subject: str) -> list[str]:
         return [o for o in self.objects(subject, vocab.RDF_TYPE)
                 if isinstance(o, str)]
-
-
-def _triple_key(triple: Triple) -> tuple[str, str, str]:
-    return triple.subject, triple.predicate, nt_term(triple.object)
 
 
 # --- emission ----------------------------------------------------------------
@@ -280,24 +295,12 @@ def nt_term(term: Term) -> str:
     return f"{quoted}^^<{term.datatype}>"
 
 
-def _subject_groups(graph: RdfGraph) -> Iterator[list[Triple]]:
-    """The graph's triples grouped by subject, in the canonical order of
-    both serializers: subjects in codepoint order, each group sorted by
-    ``_triple_key``."""
-    by_subject: dict[str, list[Triple]] = {}
-    for triple in graph.triples:
-        by_subject.setdefault(triple.subject, []).append(triple)
-    for subject in sorted(by_subject):
-        group = by_subject[subject]
-        if len(group) > 1:
-            group.sort(key=_triple_key)
-        yield group
-
-
 def serialize_ntriples(graph: RdfGraph) -> str:
     return "".join(f"<{subject}> <{predicate}> {nt_term(obj)} .\n"
-                   for group in _subject_groups(graph)
-                   for subject, predicate, obj in group)
+                   for subject, pairs in graph._walk()
+                   for predicate, objects in pairs
+                   for obj in (objects if isinstance(objects, list)
+                               else (objects,)))
 
 
 _PN_LOCAL = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
@@ -334,21 +337,18 @@ def serialize_turtle(graph: RdfGraph) -> str:
 
     out = [f"@prefix {prefix}: <{namespace}> .\n"
            for prefix, namespace in prefixes]
-    for group in _subject_groups(graph):
-        subject = group[0].subject
-        out.append("\n")
-        out.append(rendered.get(subject) or render(subject))
-        last = None
-        for _, predicate, obj in group:
-            if predicate == last:
-                out.append(", ")
-            else:
-                out.append(" ;\n    " if last is not None else " ")
-                out.append("a" if predicate == vocab.RDF_TYPE
-                           else rendered.get(predicate) or render(predicate))
-                out.append(" ")
-                last = predicate
-            out.append(rendered.get(obj) or render(obj))
+    for subject, pairs in graph._walk():
+        out.append("\n" + (rendered.get(subject) or render(subject)))
+        separator = " "
+        for predicate, objects in pairs:
+            out.append(separator)
+            out.append("a " if predicate == vocab.RDF_TYPE
+                       else (rendered.get(predicate) or render(predicate)) + " ")
+            out.append(", ".join([rendered.get(obj) or render(obj)
+                                  for obj in objects])
+                       if isinstance(objects, list)
+                       else rendered.get(objects) or render(objects))
+            separator = " ;\n    "
         out.append(" .\n")
     return "".join(out)
 
@@ -374,7 +374,8 @@ _TOKEN_RE = re.compile(rf"""
         (?P<iri>{_IRI})
       | (?P<string>"(?!"")(?P<lexical>{_STRING_BODY})"
                    (?:\^\^(?P<datatype>{_IRI}))?)
-      | (?P<number>[+-]?(?:\d+\.\d+|\.\d+|\d+)(?P<exponent>[eE][+-]?\d+)?)
+      | (?P<number>[+-]?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)
+                  (?P<exponent>[eE][+-]?[0-9]+)?)
       | (?P<a>a)(?![^\ \t\r\n<])
       | (?P<dot>\.) | (?P<semicolon>;) | (?P<comma>,)
       | (?P<directive>@prefix)
@@ -406,7 +407,6 @@ def parse_turtle(text: str) -> RdfGraph:
     """
     graph = RdfGraph()
     prefixes = graph.prefixes
-    add = graph.triples.add
     # One str per distinct IRI: a graph repeats each IRI in many triples.
     iris: dict[str, str] = {}
     tokens = _TOKEN_RE.finditer(text)
@@ -467,7 +467,7 @@ def parse_turtle(text: str) -> RdfGraph:
         while True:
             predicate = term(m, "predicate")
             while True:
-                add(Triple(subject, predicate, term(next(tokens), "object")))
+                graph.add(subject, predicate, term(next(tokens), "object"))
                 m = next(tokens)
                 if m.lastgroup != "comma":
                     break

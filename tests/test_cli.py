@@ -190,6 +190,38 @@ def test_convert_reports_a_lone_surrogate_and_goes_on(tmp_path, capsys_run):
     assert out.startswith(str(out_dir / "b_michelle.ttl"))
 
 
+def test_validate_reports_a_directory_named_like_an_input_and_goes_on(
+        tmp_path, capsys_run):
+    (tmp_path / "a_dir.jams").mkdir()
+    (tmp_path / "b_warned.jams").write_text(
+        '{"annotations":[{"namespace":"chord","data":[]}],'
+        '"file_metadata":{"title":"x","duration":1.0},"sandbox":{}}')
+    code, out, err = capsys_run("validate", str(tmp_path),
+                                "--modality", "audio")
+    assert code == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "io"
+    assert diagnostic["path"] == str(tmp_path / "a_dir.jams")
+    assert "a_dir.jams" in diagnostic["message"]
+    assert json.loads(out)["code"] == "W2"
+
+
+def test_convert_reports_an_output_path_that_is_a_file_and_goes_on(
+        tmp_path, capsys_run):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    code, out, err = capsys_run("convert", str(BOHEMIAN), str(MICHELLE),
+                                "--modality", "audio", "-o", str(taken))
+    assert code == 1
+    assert out == ""
+    diagnostics = [json.loads(line) for line in err.splitlines()]
+    assert [d["path"] for d in diagnostics] == [str(BOHEMIAN), str(MICHELLE)]
+    for diagnostic in diagnostics:
+        assert diagnostic["error"] == "io"
+        assert str(taken) in diagnostic["message"]
+    assert taken.read_text() == "not a directory"
+
+
 def test_convert_refuses_inputs_sharing_an_output_name(tmp_path, capsys_run):
     first, second = tmp_path / "a" / "x.jams", tmp_path / "b" / "x.jams"
     for path in (first, second):

@@ -115,6 +115,10 @@ def test_malformed_json_reports_position():
 def test_invalid_utf8_reports_malformed():
     with pytest.raises(MalformedJson):
         parse_jams(b'{"a": "\xff"}')
+    # Located by line and character column, not by byte offset.
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(b'{\n  "t": "\xc3\xa9\xc3\xa9\xff"}')
+    assert (excinfo.value.line, excinfo.value.column) == (2, 11)
 
 
 def test_overlong_integer_reports_malformed_at_the_literal():
