@@ -43,7 +43,6 @@ from .model import (
     MusicTimeValueType,
     ObjectKind,
     ObservationValue,
-    Provenance,
     ValueKind,
     annotator_of_observation,
     attach_observation,
@@ -96,7 +95,6 @@ __all__ = [
     "MusicalObjectRef",
     "ObjectKind",
     "ObservationValue",
-    "Provenance",
     "RdfGraph",
     "SEGMENT_KIND",
     "Severity",

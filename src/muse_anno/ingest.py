@@ -47,7 +47,6 @@ from .model import (
     MusicalObjectRef,
     ObjectKind,
     ObservationValue,
-    Provenance,
     ValueKind,
     audio_interval,
     score_interval,
@@ -501,12 +500,6 @@ def _lower_block(block: JamsAnnotationBlock, i: int, subject: MusicalObjectRef,
     else:
         interval = _synth_score_interval(metrical_rows)
 
-    metadata = block.annotation_metadata
-    provenance = None
-    if metadata.corpus or metadata.curator_name:
-        provenance = Provenance(corpus=metadata.corpus or "",
-                                curator=metadata.curator_name or "")
-
     return MusicAnnotation(
         id=annotation_id,
         modality=opts.modality,
@@ -515,7 +508,6 @@ def _lower_block(block: JamsAnnotationBlock, i: int, subject: MusicalObjectRef,
         interval=interval,
         observations=tuple(observations),
         value_kind=value_kind,
-        provenance=provenance,
     )
 
 

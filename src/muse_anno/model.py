@@ -132,12 +132,6 @@ class MusicObservation:
 
 
 @dataclass(frozen=True, slots=True)
-class Provenance:
-    corpus: str
-    curator: str
-
-
-@dataclass(frozen=True, slots=True)
 class MusicAnnotation:
     id: str
     modality: Modality
@@ -146,7 +140,6 @@ class MusicAnnotation:
     interval: MusicTimeInterval
     observations: tuple[MusicObservation, ...]
     value_kind: ValueKind
-    provenance: Provenance | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,26 +162,6 @@ class AnnotationModel:
     annotations: tuple[MusicAnnotation, ...] = ()
     base_iri: str = "http://example.org/"
     file_duration: Decimal | None = None
-
-    def find_annotation(self, iri: str) -> MusicAnnotation | None:
-        for annotation in self.annotations:
-            if annotation.id == iri:
-                return annotation
-        return None
-
-    def find_observation(self, iri: str) -> MusicObservation | None:
-        for annotation in self.annotations:
-            for obs in annotation.observations:
-                if obs.id == iri:
-                    return obs
-        return None
-
-    def containing_annotation(self, obs_iri: str) -> MusicAnnotation | None:
-        for annotation in self.annotations:
-            for obs in annotation.observations:
-                if obs.id == obs_iri:
-                    return annotation
-        return None
 
 
 # --- factories --------------------------------------------------------------
@@ -264,10 +237,11 @@ def annotator_of_observation(model: AnnotationModel, obs_id: str) -> Annotator:
     This is the materialized form of the pattern's property chain: an
     observation has no annotator of its own.
     """
-    annotation = model.containing_annotation(obs_id)
-    if annotation is None:
-        raise OrphanObservation(obs_id)
-    return annotation.annotator
+    for annotation in model.annotations:
+        for obs in annotation.observations:
+            if obs.id == obs_id:
+                return annotation.annotator
+    raise OrphanObservation(obs_id)
 
 
 def interval_end(interval: MusicTimeInterval) -> tuple[Decimal, MusicTimeValueType]:

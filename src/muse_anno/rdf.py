@@ -29,7 +29,8 @@ from . import vocab
 from .errors import (MuseAnnoError, TurtleSyntax, UnsupportedConstruct,
                      UnvalidatedModel)
 from .iri import component_iri, duration_iri, index_iri, interval_iri
-from .model import AnnotationModel, MusicAnnotation, MusicTimeInterval
+from .model import (AnnotationModel, MusicAnnotation, MusicTimeInterval,
+                    ObservationValue)
 from .util import decimal_lexical
 from .validate import Severity, Violation, validate_model
 
@@ -204,13 +205,14 @@ def emit_graph(model: AnnotationModel,
         if subject.title:
             graph.add(subject.id, vocab.RDFS_LABEL, Literal(subject.title))
 
+    values_seen: set[ObservationValue] = set()
     for annotation in model.annotations:
-        _emit_annotation(graph, annotation, model.base_iri)
+        _emit_annotation(graph, annotation, model.base_iri, values_seen)
     return graph
 
 
 def _emit_annotation(graph: RdfGraph, annotation: MusicAnnotation,
-                     base_iri: str) -> None:
+                     base_iri: str, values_seen: set[ObservationValue]) -> None:
     graph.add(annotation.subject, vocab.HAS_MUSIC_ANNOTATION, annotation.id)
     graph.add(annotation.id, vocab.RDF_TYPE,
               vocab.annotation_class(annotation.modality))
@@ -232,9 +234,14 @@ def _emit_annotation(graph: RdfGraph, annotation: MusicAnnotation,
         # Materialized property chain: isAnnotatorOf o includesMusicObservation.
         graph.add(obs.id, vocab.HAS_ANNOTATOR, annotator.id)
         _emit_interval(graph, obs.id, obs.interval)
-        graph.add(obs.id, vocab.HAS_MUSIC_OBSERVATION_VALUE, obs.value.id)
-        graph.add(obs.value.id, vocab.RDF_TYPE, vocab.value_class_iri(obs.value.kind))
-        graph.add(obs.value.id, vocab.RDFS_LABEL, Literal(obs.value.label))
+        value = obs.value
+        graph.add(obs.id, vocab.HAS_MUSIC_OBSERVATION_VALUE, value.id)
+        # Observations share value nodes: describe each one once.  The key is
+        # the whole value, so a second value reusing an id is still emitted.
+        if value not in values_seen:
+            values_seen.add(value)
+            graph.add(value.id, vocab.RDF_TYPE, vocab.value_class_iri(value.kind))
+            graph.add(value.id, vocab.RDFS_LABEL, Literal(value.label))
         if obs.confidence is not None:
             graph.add(obs.id, vocab.HAS_CONFIDENCE,
                       Literal(decimal_lexical(obs.confidence), vocab.XSD_DECIMAL))

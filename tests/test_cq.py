@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 
 from muse_anno import answer_cq, emit_graph, oracle_cq, vocab
+from muse_anno.cq import _QUESTIONS
 from muse_anno.errors import SubjectNotFound, SubjectRequired, UnknownCq
 
 from usage_examples import build_michelle_model, build_mozart_model
@@ -199,3 +204,65 @@ def test_tsv_escapes_control_cells():
     from muse_anno.cq import CqResult
     result = CqResult(7, ("a",), (("x\ty\nz",),))
     assert result.to_tsv().splitlines()[1] == "x\\ty\\nz"
+
+
+def _answers_digest(answer, model) -> str:
+    """SHA-256 over the JSON of every valid (cq, subject) call, in order."""
+    digest = hashlib.sha256()
+    for cq, subject in _all_subject_calls(model):
+        digest.update(answer(cq, subject).to_json().encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+# Recorded from the per-question handlers the question table replaced, so a
+# wrong column order or root kind shared by both paths still shows here.
+PINNED_ANSWER_DIGESTS = {
+    "bohemian":
+        "8f9212df7d620ddb69fbfc9a25fd5ac3ae943bb3dc3d159b00fa4caa5c560218",
+    "michelle":
+        "4eae39ed70aaf02a59959dab1b0066d2c5ced5c1604c25bda7e9acd10c834c04",
+    "mozart_score":
+        "555b051804ac2b2dc6a974752e8413e962e603936018fcfd546088f056891010",
+    "usage_mozart":
+        "9d564be051d77f33d31ebe2da80eaca13494b3b184d81098588e57d8af1fd5a5",
+    "usage_michelle":
+        "577c224c140f6590e69fd4beb98680b35706f8e3337dc1f07af8f23c5690b0a6",
+}
+
+
+def test_answers_match_their_pinned_digests(bohemian_model, michelle_model,
+                                            mozart_score_model):
+    models = {
+        "bohemian": bohemian_model,
+        "michelle": michelle_model,
+        "mozart_score": mozart_score_model,
+        "usage_mozart": build_mozart_model(),
+        "usage_michelle": build_michelle_model(),
+    }
+    for name, model in models.items():
+        graph = emit_graph(model)
+        expected = PINNED_ANSWER_DIGESTS[name]
+        assert _answers_digest(
+            lambda cq, subject: answer_cq(cq, graph, subject), model) == expected, name
+        assert _answers_digest(
+            lambda cq, subject: oracle_cq(cq, model, subject), model) == expected, name
+
+
+CQ_DOC = Path(__file__).resolve().parent.parent / "docs" / "competency_questions.md"
+
+
+def test_each_documented_query_projects_the_question_columns():
+    sections = re.split(r"^### CQ(\d+)\b", CQ_DOC.read_text(encoding="utf-8"),
+                        flags=re.M)[1:]
+    documented = {int(number): body
+                  for number, body in zip(sections[::2], sections[1::2])}
+    assert sorted(documented) == sorted(_QUESTIONS)
+    for cq, body in documented.items():
+        query = re.search(r"```sparql\n(.*?)```", body, re.S)
+        assert query is not None, f"CQ{cq} has no sparql block"
+        select = re.search(r"SELECT\s+(?:DISTINCT\s+)?(.*?)\s+WHERE",
+                           query.group(1), re.S)
+        assert select is not None, f"CQ{cq} has no SELECT ... WHERE"
+        projected = select.group(1).split()
+        assert all(re.fullmatch(r"\?\w+", v) for v in projected), projected
+        assert len(projected) == len(_QUESTIONS[cq].columns), f"CQ{cq}"

@@ -323,12 +323,6 @@ def test_lower_resolves_curator_as_human_annotator(bohemian_model):
     assert annotator.id == "http://example.org/annotator/matthias-mauch"
 
 
-def test_lower_provenance(bohemian_model):
-    provenance = bohemian_model.annotations[0].provenance
-    assert provenance.corpus == "Isophonics"
-    assert provenance.curator == "Matthias Mauch"
-
-
 def test_lower_synthesizes_annotation_interval(bohemian_model):
     interval = bohemian_model.annotations[0].interval
     assert str(interval.index.components[0].value) == "0.0"
