@@ -172,7 +172,6 @@ def _load_model(args, path: Path):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
         "w", encoding="utf-8", newline="", dir=path.parent,
         prefix=f".{path.name}.", delete=False)
@@ -200,6 +199,10 @@ def cmd_convert(args) -> int:
                   f"output {target} would also be written from {targets[target]}")
             return 2
         targets[target] = path
+    try:
+        args.output.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _file_error(args, args.output, exc)
 
     for target, path in targets.items():
         try:

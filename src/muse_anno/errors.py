@@ -174,6 +174,8 @@ class SubjectNotFound(MuseAnnoError):
     """The subject IRI does not name a suitable entity."""
 
     def __init__(self, subject: str, expected: str):
-        super().__init__(f"subject {subject} does not name a {expected}")
+        article = "an" if expected[0] in "aeiou" else "a"
+        super().__init__(
+            f"subject {subject} does not name {article} {expected}")
         self.subject = subject
         self.expected = expected

@@ -207,8 +207,7 @@ def parse_jams(data: bytes | str) -> JamsDocument:
     except ValueError as exc:  # an integer past the int conversion limit
         raise _unlocated_json_error(text, "integer literal too long") from exc
     except RecursionError as exc:
-        raise _unlocated_json_error(text, "arrays and objects nested too deeply") \
-            from exc
+        raise _unlocated_json_error(text, _TOO_DEEP) from exc
     # A \uD800-\uDFFF escape may decode to a lone surrogate, which no UTF-8
     # output can carry; only texts holding one are looked at closely.
     if "\\" in text and _SURROGATE_ESCAPE_RE.search(text):
@@ -219,16 +218,22 @@ def parse_jams(data: bytes | str) -> JamsDocument:
 
     file_metadata = _parse_file_metadata(_require(raw, "file_metadata", dict))
     annotations_raw = _require(raw, "annotations", list)
-    annotations = tuple(
-        _parse_block(block, f"annotations[{i}]")
-        for i, block in enumerate(annotations_raw)
-    )
+    try:
+        annotations = tuple(
+            _parse_block(block, f"annotations[{i}]")
+            for i, block in enumerate(annotations_raw)
+        )
+    except RecursionError as exc:
+        # From Python 3.12 on, json.loads accepts values nested deeper than
+        # Python code can recurse into, so canonicalising one can overflow.
+        raise _unlocated_json_error(text, _TOO_DEEP) from exc
     sandbox = _optional(raw, "sandbox", dict, "sandbox") or {}
     extras = {k: v for k, v in raw.items()
               if k not in ("annotations", "file_metadata", "sandbox")}
     return JamsDocument(file_metadata, annotations, sandbox, extras)
 
 
+_TOO_DEEP = "arrays and objects nested too deeply"
 _JSON_TOKEN_RE = re.compile(
     r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?|[\[{]|[\]}]')
 

@@ -12,17 +12,20 @@ sorted order, so one graph always yields the same bytes on any platform.
 ``parse_turtle`` understands exactly the subset ``serialize_turtle``
 emits (prefix declarations, IRIs, prefixed names, ``a``, typed and plain
 literals, bare numbers, ``;``/``,`` abbreviation) and refuses everything
-else, so round-trips are testable without dragging in an RDF stack.  It
-reads the text with one token regex, whose alternatives also enforce the
+else, so round-trips are testable without dragging in an RDF stack.  One
+regex split cuts the text into tokens, whose patterns also enforce the
 lexical rules (legal IRI characters, string escapes that name Unicode
-scalar values), and a grammar loop over the tokens; a position where no
-token starts is classified only when the error is raised.
+scalar values); the grammar then walks the token list and resolves each
+distinct token text once.  Only when raising is the refused token found
+again, by a regex with a named group per kind, to locate and classify it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import length_hint
 from typing import Iterator, NamedTuple
 
 from . import vocab
@@ -372,23 +375,33 @@ _ECHAR = (r"""\\(?:[tbnrf"'\\]|u(?![dD][89a-fA-F])[0-9A-Fa-f]{4}"""
           r"|U(?:0000(?![dD][89a-fA-F])|000[1-9A-Fa-f]|0010)[0-9A-Fa-f]{4})")
 _STRING_BODY = rf'[^"\\\n\r]*(?:{_ECHAR}[^"\\\n\r]*)*'
 
-# One token after whitespace and comments.  Each alternative is one named
-# group, so ``lastgroup`` names the token; ``error`` always matches and
-# marks a position where no token starts.
-_TOKEN_RE = re.compile(rf"""
-    (?:[\ \t\r\n]+|\#[^\n]*)*
-    (?:
-        (?P<iri>{_IRI})
-      | (?P<string>"(?!"")(?P<lexical>{_STRING_BODY})"
-                   (?:\^\^(?P<datatype>{_IRI}))?)
-      | (?P<number>[+-]?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)
-                  (?P<exponent>[eE][+-]?[0-9]+)?)
-      | (?P<a>a)(?![^\ \t\r\n<])
-      | (?P<dot>\.) | (?P<semicolon>;) | (?P<comma>,)
-      | (?P<directive>@prefix)
-      | (?P<end>\Z)
-      | (?P<error>)
-    )""", re.VERBOSE)
+# Whitespace and whole comments: a comment always runs to its line's end,
+# so a search never finds a token inside one.
+_SPACE = r"[\ \t\r\n]*(?:\#[^\n]*(?![^\n])[\ \t\r\n]*)*"
+# The tokens in match order.  A token's text alone tells its kind: an
+# <IRI> starts with '<', a string with '"', a prefixed name holds ':' and
+# a number ends in a digit.
+_TOKENS = {
+    "iri": _IRI,
+    "string": rf'"(?!""){_STRING_BODY}"(?:\^\^(?:{_IRI}))?',
+    "number": r"[+-]?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?",
+    "a": r"a(?![^\ \t\r\n<])",
+    "dot": r"\.", "semicolon": ";", "comma": ",",
+    "directive": "@prefix",
+    "end": r"\Z",
+}
+# Splitting a text on this one group gives the token texts at odd
+# positions and, at even ones, the text between two tokens, which is empty
+# unless no token starts there.  The last token is the empty ``end``.
+_SPLIT_RE = re.compile(f"{_SPACE}({'|'.join(_TOKENS.values())})")
+# The same tokens as named groups, and an always-matching ``error`` where
+# no token starts: run only to locate the token an error is about.
+_TOKEN_RE = re.compile(f"{_SPACE}(?:" + "".join(
+    f"(?P<{kind}>{pattern})|" for kind, pattern in _TOKENS.items())
+    + "(?P<error>))")
+# Replaces the token after the first text that no token matched; no
+# token's text equals it, so every rule refuses it.
+_NO_TOKEN = " "
 _STRING_HEAD_RE = re.compile(f'"{_STRING_BODY}')
 _UNESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 _UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -413,77 +426,102 @@ def parse_turtle(text: str) -> RdfGraph:
     nodes, collections, long strings, language tags, @base).
     """
     graph = RdfGraph()
-    prefixes = graph.prefixes
-    # One str per distinct IRI: a graph repeats each IRI in many triples.
-    iris: dict[str, str] = {}
-    tokens = _TOKEN_RE.finditer(text)
+    add, prefixes = graph.add, graph.prefixes
+    parts = _SPLIT_RE.split(text)
+    tokens = parts[1::2]
+    gaps = parts[::2]
+    if any(gaps):
+        tokens[next(k for k, gap in enumerate(gaps) if gap)] = _NO_TOKEN
+    # Each distinct token text is resolved once per prefix map: an IRI
+    # text into both maps, whatever role it is met in first.
+    names: dict[str, str] = {}  # as subject or predicate
+    terms: dict[str, Term] = {}  # as object
+    taken = iter(tokens)
 
-    def iri(name: str, at: int) -> str:
-        if name[0] == "<":
-            name = name[1:-1]
-        else:
-            prefix, _, local = name.partition(":")
-            if prefix not in prefixes:
-                raise TurtleSyntax(f"undeclared prefix {prefix!r}",
-                                   *_location(text, at))
-            name = prefixes[prefix] + local
-        return iris.setdefault(name, name)
+    def last() -> re.Match:
+        """The token just taken, found again with its position."""
+        k = len(tokens) - length_hint(taken) - 1
+        return next(islice(_TOKEN_RE.finditer(text), k, None))
 
-    def term(m: re.Match, role: str) -> Term:
-        kind = m.lastgroup
-        if kind == "iri":
-            return iri(m["iri"], m.start(kind))
-        if kind == "a" and role == "predicate":
+    def iri(token: str, offset: int = 0) -> str:
+        found = names.get(token)
+        if found is None:
+            if token[0] == "<":
+                found = token[1:-1]
+            else:
+                prefix, _, local = token.partition(":")
+                if prefix not in prefixes:
+                    m = last()
+                    at = m.start(m.lastgroup) + offset
+                    raise TurtleSyntax(f"undeclared prefix {prefix!r}",
+                                       *_location(text, at))
+                found = prefixes[prefix] + local
+            names[token] = terms[token] = found
+        return found
+
+    def name(token: str, role: str) -> str:
+        if token == "a" and role == "predicate":
             return vocab.RDF_TYPE
-        if kind == "string" and role == "object":
-            lexical = m["lexical"]
+        if token[:1] == "<" or ":" in token and token[0] != '"':
+            return iri(token)
+        raise _error(text, last(), f"an IRI or prefixed name as {role}",
+                     _UNSUPPORTED[role])
+
+    def term(token: str) -> Term:
+        if token[:1] == '"':
+            close = token.rindex('"')
+            lexical = token[1:close]
             if "\\" in lexical:
                 lexical = _UNESCAPE_RE.sub(
                     lambda e: _UNESCAPES.get(e[1]) or chr(int(e[1][1:], 16)),
                     lexical)
-            datatype = m["datatype"]
-            if datatype is None:
-                return Literal(lexical)
-            return Literal(lexical, iri(datatype, m.start("datatype")))
-        if kind == "number" and role == "object":
-            lexical = m["number"]
-            if m["exponent"]:
-                return Literal(lexical, vocab.XSD + "double")
-            return Literal(lexical, vocab.XSD_DECIMAL if "." in lexical
-                           else vocab.XSD_INTEGER)
-        raise _error(text, m, f"an IRI or prefixed name as {role}",
-                     _UNSUPPORTED[role])
+            datatype = token[close + 3:]
+            obj = Literal(lexical, iri(datatype, close + 3)) if datatype \
+                else Literal(lexical)
+        elif token[:1] == "<" or ":" in token:
+            return iri(token)
+        elif token[-1:].isdigit():
+            kind = "double" if "e" in token or "E" in token \
+                else "decimal" if "." in token else "integer"
+            obj = Literal(token, vocab.XSD + kind)
+        else:
+            raise _error(text, last(), "an IRI or prefixed name as object",
+                         _UNSUPPORTED["object"])
+        terms[token] = obj
+        return obj
 
-    for m in tokens:
-        if m.lastgroup == "end":
+    for token in taken:
+        if not token:  # the end
             break
-        if m.lastgroup == "directive":
-            name = next(tokens)
-            if name.lastgroup != "iri" or not name["iri"].endswith(":"):
-                raise _error(text, name, "a prefix name ending in ':'")
-            namespace = next(tokens)
-            if namespace.lastgroup != "iri" or namespace["iri"][0] != "<":
-                raise _error(text, namespace, "an IRI")
-            m = next(tokens)
-            if m.lastgroup != "dot":
-                raise _error(text, m, "'.'")
-            prefixes[name["iri"][:-1]] = namespace["iri"][1:-1]
+        if token == "@prefix":
+            prefix = next(taken)
+            if not prefix.endswith(":") or prefix[0] == '"':
+                raise _error(text, last(), "a prefix name ending in ':'")
+            namespace = next(taken)
+            if not namespace.startswith("<"):
+                raise _error(text, last(), "an IRI")
+            if next(taken) != ".":
+                raise _error(text, last(), "'.'")
+            prefixes[prefix[:-1]] = namespace[1:-1]
+            names.clear()
+            terms.clear()
             continue
-        subject = term(m, "subject")
-        m = next(tokens)
+        subject = names.get(token) or name(token, "subject")
+        token = next(taken)
         while True:
-            predicate = term(m, "predicate")
+            predicate = names.get(token) or name(token, "predicate")
             while True:
-                graph.add(subject, predicate, term(next(tokens), "object"))
-                m = next(tokens)
-                if m.lastgroup != "comma":
+                token = next(taken)
+                add(subject, predicate, terms.get(token) or term(token))
+                token = next(taken)
+                if token != ",":
                     break
-            if m.lastgroup == "semicolon":
-                m = next(tokens)
-                if m.lastgroup != "dot":  # else the tolerated "; ." tail
+            if token == ";":
+                token = next(taken)
+                if token != ".":  # else the tolerated "; ." tail
                     continue
-            elif m.lastgroup != "dot":
-                raise _error(text, m, "'.'")
+            elif token != ".":
+                raise _error(text, last(), "'.'")
             break
     return graph
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from muse_anno import cli, rdf, validate_model
+from muse_anno import cli, parse_jams, rdf, validate_model
 from muse_anno.cli import main
 
 from conftest import FIXTURES, GOLDEN
@@ -206,20 +206,42 @@ def test_validate_reports_a_directory_named_like_an_input_and_goes_on(
     assert json.loads(out)["code"] == "W2"
 
 
-def test_convert_reports_an_output_path_that_is_a_file_and_goes_on(
-        tmp_path, capsys_run):
+@pytest.mark.parametrize("output", ["taken", "taken/sub"])
+def test_convert_refuses_an_output_path_that_is_a_file_up_front(
+        tmp_path, capsys_run, monkeypatch, output):
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
+    read: list[str] = []
+    monkeypatch.setattr(cli, "parse_jams",
+                        lambda data: read.append(data) or parse_jams(data))
     code, out, err = capsys_run("convert", str(BOHEMIAN), str(MICHELLE),
-                                "--modality", "audio", "-o", str(taken))
+                                "--modality", "audio",
+                                "-o", str(tmp_path / output))
     assert code == 1
     assert out == ""
-    diagnostics = [json.loads(line) for line in err.splitlines()]
-    assert [d["path"] for d in diagnostics] == [str(BOHEMIAN), str(MICHELLE)]
-    for diagnostic in diagnostics:
-        assert diagnostic["error"] == "io"
-        assert str(taken) in diagnostic["message"]
+    [diagnostic] = [json.loads(line) for line in err.splitlines()]
+    assert diagnostic["error"] == "io"
+    assert diagnostic["path"] == str(tmp_path / output)
+    assert str(taken) in diagnostic["message"]
+    assert read == []
     assert taken.read_text() == "not a directory"
+    assert sorted(tmp_path.iterdir()) == [taken]
+
+
+@pytest.mark.parametrize("depth", [990, 5000])
+def test_validate_reports_a_deeply_nested_value(tmp_path, capsys_run, depth):
+    bad = tmp_path / "deep.jams"
+    bad.write_text('{"annotations":[{"namespace":"chord","data":[{"time":0.0,'
+                   '"duration":1.0,"value":' + "[" * depth + "]" * depth
+                   + '}]}],"file_metadata":{"title":"x","duration":10.0},'
+                   '"sandbox":{}}')
+    code, out, err = capsys_run("validate", str(bad), "--modality", "audio")
+    assert code == 1
+    assert out == ""
+    [diagnostic] = [json.loads(line) for line in err.splitlines()]
+    assert diagnostic["error"] == "MalformedJson"
+    assert diagnostic["path"] == str(bad)
+    assert "nested too deeply" in diagnostic["message"]
 
 
 def test_convert_refuses_inputs_sharing_an_output_name(tmp_path, capsys_run):

@@ -165,6 +165,20 @@ def test_subject_not_found(bohemian_graph, bohemian_model):
         answer_cq(5, bohemian_graph, bohemian_model.annotations[0].id)
 
 
+@pytest.mark.parametrize("cq, kind", [(1, "a musical object"),
+                                      (3, "an annotation"),
+                                      (7, "an observation"),
+                                      (8, "an annotation or observation")])
+def test_subject_not_found_names_the_kind_with_its_article(
+        bohemian_graph, bohemian_model, cq, kind):
+    ghost = "http://example.org/ghost"
+    for answer, source in ((answer_cq, bohemian_graph),
+                           (oracle_cq, bohemian_model)):
+        with pytest.raises(SubjectNotFound) as excinfo:
+            answer(cq, source, ghost)
+        assert str(excinfo.value) == f"subject {ghost} does not name {kind}"
+
+
 def test_any_subject_is_answered_or_refused_as_the_oracle_does():
     # Subjects of the wrong class (intervals, values, annotators, an
     # annotation where an observation is expected, ...) must raise

@@ -27,6 +27,7 @@ from muse_anno.errors import (
     TypeMismatch,
     UnsupportedNamespace,
 )
+from muse_anno import ingest
 from muse_anno.util import canonical_json
 
 from conftest import FIXTURES
@@ -136,6 +137,36 @@ def test_deep_nesting_reports_malformed():
     with pytest.raises(MalformedJson) as excinfo:
         parse_jams(b"[" * 100_000)
     assert (excinfo.value.line, excinfo.value.column) == (1, 100_000)
+
+
+def _nested_value_jams(depth: int) -> str:
+    """A JAMS whose one observation value nests ``depth`` arrays deep."""
+    return ('{"annotations":[{"namespace":"chord","data":[{"time":0.0,'
+            '"duration":1.0,"value":' + "[" * depth + "]" * depth + '}]}],'
+            '"file_metadata":{"title":"x","duration":10.0},"sandbox":{}}')
+
+
+@pytest.mark.parametrize("depth", [990, 5000])
+def test_deeply_nested_value_reports_malformed_at_the_deepest_bracket(depth):
+    # Up to Python 3.11 json.loads refuses these; from 3.12 on it nests
+    # deeper than Python code can recurse, and canonicalising the value
+    # overflows instead.  Both give the same error.
+    text = _nested_value_jams(depth)
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(text)
+    assert str(excinfo.value) == ("arrays and objects nested too deeply "
+                                  f"(line 1, column {text.index('[]') + 1})")
+
+
+def test_value_overflowing_while_canonicalised_reports_malformed(monkeypatch):
+    def overflow(value):
+        raise RecursionError
+    monkeypatch.setattr(ingest, "canonical_json", overflow)
+    text = _nested_value_jams(3)
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(text)
+    assert (excinfo.value.line, excinfo.value.column) == (
+        1, text.index("[]") + 1)
 
 
 @pytest.mark.parametrize("title", [r"\ud800", r"x\uDFFFy", r"\udfb5\ud83c",

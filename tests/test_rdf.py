@@ -32,7 +32,8 @@ from muse_anno.errors import (
     UnvalidatedModel,
 )
 from muse_anno.iri import slug
-from muse_anno.rdf import _escape_string, nt_term
+from muse_anno.rdf import (_UNESCAPE_RE, _UNESCAPES, _UNSUPPORTED, _error,
+                            _escape_string, _location, nt_term)
 
 from conftest import GOLDEN
 from injections import BROKEN_MODELS
@@ -617,3 +618,179 @@ def test_parse_one_character_edits_of_emitted_turtle(text, where, edit, char):
     else:
         text = text[:where] + char + text[where + 1:]
     _parses_or_refuses(text)
+
+
+# The token reader that the split-and-resolve parser replaced, kept as the
+# oracle: one match per token, dispatched on ``lastgroup``, each token
+# resolved where it stands.  It shares the error classifier ``_error``.
+_PN_LOCAL = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
+_IRI = (r'<[^<>"{}|^`\x20\n\r\t]*>'
+        rf"|(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:{_PN_LOCAL})?")
+_ECHAR = (r"""\\(?:[tbnrf"'\\]|u(?![dD][89a-fA-F])[0-9A-Fa-f]{4}"""
+          r"|U(?:0000(?![dD][89a-fA-F])|000[1-9A-Fa-f]|0010)[0-9A-Fa-f]{4})")
+_STRING_BODY = rf'[^"\\\n\r]*(?:{_ECHAR}[^"\\\n\r]*)*'
+_ORACLE_TOKEN_RE = re.compile(rf"""
+    (?:[\ \t\r\n]+|\#[^\n]*)*
+    (?:
+        (?P<iri>{_IRI})
+      | (?P<string>"(?!"")(?P<lexical>{_STRING_BODY})"
+                   (?:\^\^(?P<datatype>{_IRI}))?)
+      | (?P<number>[+-]?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)
+                  (?P<exponent>[eE][+-]?[0-9]+)?)
+      | (?P<a>a)(?![^\ \t\r\n<])
+      | (?P<dot>\.) | (?P<semicolon>;) | (?P<comma>,)
+      | (?P<directive>@prefix)
+      | (?P<end>\Z)
+      | (?P<error>)
+    )""", re.VERBOSE)
+
+
+def _parse_by_token_loop(text: str) -> RdfGraph:
+    graph = RdfGraph()
+    prefixes = graph.prefixes
+    # One str per distinct IRI: a graph repeats each IRI in many triples.
+    iris: dict[str, str] = {}
+    tokens = _ORACLE_TOKEN_RE.finditer(text)
+
+    def iri(name: str, at: int) -> str:
+        if name[0] == "<":
+            name = name[1:-1]
+        else:
+            prefix, _, local = name.partition(":")
+            if prefix not in prefixes:
+                raise TurtleSyntax(f"undeclared prefix {prefix!r}",
+                                   *_location(text, at))
+            name = prefixes[prefix] + local
+        return iris.setdefault(name, name)
+
+    def term(m: re.Match, role: str):
+        kind = m.lastgroup
+        if kind == "iri":
+            return iri(m["iri"], m.start(kind))
+        if kind == "a" and role == "predicate":
+            return vocab.RDF_TYPE
+        if kind == "string" and role == "object":
+            lexical = m["lexical"]
+            if "\\" in lexical:
+                lexical = _UNESCAPE_RE.sub(
+                    lambda e: _UNESCAPES.get(e[1]) or chr(int(e[1][1:], 16)),
+                    lexical)
+            datatype = m["datatype"]
+            if datatype is None:
+                return Literal(lexical)
+            return Literal(lexical, iri(datatype, m.start("datatype")))
+        if kind == "number" and role == "object":
+            lexical = m["number"]
+            if m["exponent"]:
+                return Literal(lexical, vocab.XSD + "double")
+            return Literal(lexical, vocab.XSD_DECIMAL if "." in lexical
+                           else vocab.XSD_INTEGER)
+        raise _error(text, m, f"an IRI or prefixed name as {role}",
+                     _UNSUPPORTED[role])
+
+    for m in tokens:
+        if m.lastgroup == "end":
+            break
+        if m.lastgroup == "directive":
+            name = next(tokens)
+            if name.lastgroup != "iri" or not name["iri"].endswith(":"):
+                raise _error(text, name, "a prefix name ending in ':'")
+            namespace = next(tokens)
+            if namespace.lastgroup != "iri" or namespace["iri"][0] != "<":
+                raise _error(text, namespace, "an IRI")
+            m = next(tokens)
+            if m.lastgroup != "dot":
+                raise _error(text, m, "'.'")
+            prefixes[name["iri"][:-1]] = namespace["iri"][1:-1]
+            continue
+        subject = term(m, "subject")
+        m = next(tokens)
+        while True:
+            predicate = term(m, "predicate")
+            while True:
+                graph.add(subject, predicate, term(next(tokens), "object"))
+                m = next(tokens)
+                if m.lastgroup != "comma":
+                    break
+            if m.lastgroup == "semicolon":
+                m = next(tokens)
+                if m.lastgroup != "dot":  # else the tolerated "; ." tail
+                    continue
+            elif m.lastgroup != "dot":
+                raise _error(text, m, "'.'")
+            break
+    return graph
+
+
+def _outcome(parse, text: str):
+    """The graph and prefixes a parser returns, or the error it raises."""
+    try:
+        graph = parse(text)
+    except MuseAnnoError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return graph.triples, graph.prefixes
+
+
+def _assert_parses_as_the_token_loop(text: str) -> None:
+    assert _outcome(parse_turtle, text) == _outcome(_parse_by_token_loop, text)
+
+
+_ODD_CASES = [
+    P + "ex:a ex:p ex:b . # comment at the end, no newline",
+    P + "ex:a ex:p # ex:b .",
+    P + "ex:a ex:p ex:b . # a\n!",
+    P + "ex:a ex:p # c ex:b\n!",  # no token is found inside a comment
+    P + "ex:a ex:p ex:b . #",
+    P + "ex:a ex:p .5 .",
+    P + "ex:a ex:p 1. .",
+    P + "ex:a ex:p 1.",
+    P + "ex:a ex:p 1e5, 2E-3, 1.5e+2 .",
+    P + "ex:a ex:p 1e5,",
+    P + "ex:a a# comment\n ex:b .",
+    P + "ex:a a#\nex:b .",
+    P + "ex:s ex:p ex:o.",
+    P + "ex:s ex:p ex:o.ex:t ex:p ex:o.",
+    "<> <> <> .",
+    P + "<> a <>, ex:o ; ex:p <> .",
+    P + 'ex:a ex:p "1"^^ex:d .\n@prefix ex: <http://f/> .\n'
+        'ex:a ex:p "1"^^ex:d, ex:b .',
+    P + "ex:a ex:p ex:b .\n@prefix ex: <http://f/> .\nex:a ex:p ex:b .",
+    P + "ex:a ex:p ex:b .\n@prefix zz: <http://f/> .\nzz:a ex:p yy:b .",
+    P + 'ex:a ex:p "x"^^yy:d .',
+    P + 'ex:a ex:p "a:b", "c"^^ex: .',
+    '@prefix "x"^^ex: <http://e/> .',
+]
+
+
+@pytest.mark.parametrize("text", _ODD_CASES + [text for text, _ in PINNED])
+def test_parse_matches_the_token_loop_on_odd_and_pinned_inputs(text):
+    _assert_parses_as_the_token_loop(text)
+
+
+@given(st.sampled_from(["", P]),
+       st.lists(st.one_of(_TURTLE_BITS, st.sampled_from(
+           ["ex:a ", "ex:p ", "<http://e/x>", '"x"', '"""', "^^ex:d", "1.",
+            ".5", "1e5", "\\u", "\\U", "@prefix ex: <http://f/> .",
+            "@base", "_:", "#", "# c\n", " a "]), st.characters()),
+                max_size=30))
+@settings(max_examples=200)
+def test_parse_matches_the_token_loop_on_token_soup(head, pieces):
+    _assert_parses_as_the_token_loop(head + "".join(pieces))
+
+
+@given(st.sampled_from(_EMITTED_TURTLE),
+       st.lists(st.tuples(st.integers(min_value=0),
+                          st.sampled_from(["delete", "insert", "replace"]),
+                          st.one_of(_TURTLE_BITS, st.characters())),
+                min_size=1, max_size=3))
+@settings(max_examples=200)
+def test_parse_matches_the_token_loop_on_edits_of_emitted_turtle(text, edits):
+    for where, edit, char in edits:
+        where %= len(text)
+        if edit == "delete":
+            text = text[:where] + text[where + 1:]
+        elif edit == "insert":
+            text = text[:where] + char + text[where:]
+        else:
+            text = text[:where] + char + text[where + 1:]
+    _assert_parses_as_the_token_loop(text)
