@@ -1,12 +1,14 @@
 """Batch command line: convert, validate, query, stats.
 
+Every command reads, parses, lowers and validates each file on one path
+(``stats`` stops after parsing), then does its own work on the result.
 Exit codes follow one contract everywhere: 0 success, 1 any parse or
-validation Error (diagnostics go to stderr as JSON lines), 2 usage error.
-Data output (triple counts, violation reports, TSV bindings, stats) goes
-to stdout only, so pipelines can split the streams cleanly.  Directory
-inputs are expanded to their ``*.jams`` files and processed in sorted
-order, which keeps multi-file output deterministic.  Output files are
-written atomically (temp file, then rename).
+validation Error, 2 usage error.  A file that cannot be read, parsed or
+lowered gives one JSON diagnostic on stderr and the batch goes on; a usage
+error stops it.  Data output (triple counts, violation reports, TSV
+bindings, stats) goes to stdout only.  Directory inputs are expanded to
+their ``*.jams`` files in sorted order, which keeps multi-file output
+deterministic.  Output files are written atomically (temp, then rename).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import MuseAnnoError
 from .ingest import (
     JamsDocument,
     LoweringOptions,
-    ModalityHint,
     detect_modality_hint,
     lower_to_model,
     parse_jams,
@@ -94,7 +95,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     handlers = {"convert": cmd_convert, "validate": cmd_validate,
                 "query": cmd_query, "stats": cmd_stats}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        path, message = exc.args
+        _diag(args, path, "usage", message)
+        return 2
 
 
 def entrypoint() -> None:
@@ -103,25 +109,43 @@ def entrypoint() -> None:
 
 # --- shared plumbing ----------------------------------------------------------
 
+class _UsageError(Exception):
+    """``(path, message)`` of a usage failure: ``main`` reports it and
+    exits 2, so a batch stops at the file where it happens."""
+
+
 def _base_iri(args) -> str:
     return args.base_iri or os.environ.get(BASE_IRI_ENV) or DEFAULT_BASE_IRI
 
 
-def _diag(args, path: Path | None, kind: str, message: str) -> None:
+def _line(args, path: Path | None, fields: dict, text: str) -> str:
+    """One diagnostic or violation line: ``fields`` as a JSON object with
+    the path added, or with --pretty ``text`` after the path."""
     if args.pretty:
-        location = f"{path}: " if path else ""
-        print(f"{location}{kind}: {message}", file=sys.stderr)
-    else:
-        payload = {"error": kind, "message": message}
-        if path is not None:
-            payload["path"] = str(path)
-        print(json.dumps(payload, ensure_ascii=False), file=sys.stderr)
+        return f"{path}: {text}" if path else text
+    if path is not None:
+        fields["path"] = str(path)
+    return json.dumps(fields, ensure_ascii=False)
+
+
+def _diag(args, path: Path | None, kind: str, message: str) -> None:
+    print(_line(args, path, {"error": kind, "message": message},
+                f"{kind}: {message}"), file=sys.stderr)
+
+
+def _report(args, path: Path | None, violations, file) -> int:
+    """Print one line per violation to ``file``; 1 if any is an Error."""
+    for v in violations:
+        print(_line(args, path, v.to_json_data(),
+                    f"{v.code} {v.severity.value} {v.subject}: {v.message}"),
+              file=file)
+    return int(any(v.severity is Severity.ERROR for v in violations))
 
 
 def _input_files(args) -> tuple[list[Path], int]:
     """The input files in sorted order, directories expanded to their
     *.jams files, and the exit status so far: 1 after reporting a missing
-    path, 2 after reporting that there is nothing to read at all."""
+    path.  Nothing to read at all is a usage error."""
     files: list[Path] = []
     status = 0
     for path in args.inputs:
@@ -133,8 +157,7 @@ def _input_files(args) -> tuple[list[Path], int]:
             _diag(args, path, "io", "no such file or directory")
             status = 1
     if not files and not status:
-        _diag(args, None, "usage", "no input files found")
-        status = 2
+        raise _UsageError(None, "no input files found")
     return sorted(files), status
 
 
@@ -145,30 +168,31 @@ def _file_error(args, path: Path, exc: Exception) -> int:
     return 1
 
 
-def _pick_modality(args, doc: JamsDocument, path: Path) -> Modality | None:
-    """Resolve the modality flag; None means abort with a usage error."""
-    if args.modality == "audio":
-        return Modality.AUDIO
-    if args.modality == "score":
-        return Modality.SCORE
-    hint = detect_modality_hint(doc)
-    if hint is ModalityHint.AUDIO:
-        return Modality.AUDIO
-    if hint is ModalityHint.SCORE:
-        return Modality.SCORE
-    _diag(args, path, "usage",
-          "cannot infer modality; pass --modality audio or --modality score")
-    return None
+def _each_file(args, files: list[Path], status: int, tail) -> int:
+    """Read and parse each file and run ``tail(path, doc)`` on it, which
+    returns the file's status.  The one place a file's failure is reported;
+    the batch then goes on with the next file."""
+    for path in files:
+        try:
+            status = max(status, tail(path, parse_jams(path.read_bytes())))
+        except (MuseAnnoError, OSError) as exc:
+            status = _file_error(args, path, exc)
+    return status
 
 
-def _load_model(args, path: Path):
-    doc = parse_jams(path.read_bytes())
-    modality = _pick_modality(args, doc, path)
-    if modality is None:
-        return None, 2
-    opts = LoweringOptions(modality=modality, base_iri=_base_iri(args),
+def _lower(args, path: Path, doc: JamsDocument):
+    """Lower and validate a parsed file: ``(model, violations)``."""
+    modality = args.modality
+    if modality == "auto":
+        modality = detect_modality_hint(doc).value
+        if modality == "unknown":
+            raise _UsageError(path, "cannot infer modality; pass --modality "
+                                    "audio or --modality score")
+    opts = LoweringOptions(modality=Modality(modality),
+                           base_iri=_base_iri(args),
                            strict_namespaces=args.strict)
-    return lower_to_model(doc, opts), 0
+    model = lower_to_model(doc, opts)
+    return model, validate_model(model)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -188,115 +212,64 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def cmd_convert(args) -> int:
     files, status = _input_files(args)
-    if status == 2:
-        return status
-
-    targets: dict[Path, Path] = {}
+    sources: dict[Path, Path] = {}
     for path in files:
         target = args.output / f"{path.stem}.{args.format}"
-        if target in targets:
-            _diag(args, path, "usage",
-                  f"output {target} would also be written from {targets[target]}")
-            return 2
-        targets[target] = path
+        if target in sources:
+            raise _UsageError(path, f"output {target} would also be written "
+                                    f"from {sources[target]}")
+        sources[target] = path
+    targets = {path: target for target, path in sources.items()}
     try:
         args.output.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _file_error(args, args.output, exc)
 
-    for target, path in targets.items():
-        try:
-            model, code = _load_model(args, path)
-            if model is None:
-                return code
-            violations = validate_model(model)
-            errors = [v for v in violations if v.severity is Severity.ERROR]
-            for violation in violations:
-                _report_violation(args, path, violation)
-            if errors:
-                status = 1
-                continue
-            graph = emit_graph(model, violations)
-            if args.format == "ttl":
-                text = serialize_turtle(graph)
-            else:
-                text = serialize_ntriples(graph)
-            _atomic_write(target, text)
-            print(f"{target}\t{len(graph)}")
-        except (MuseAnnoError, OSError) as exc:
-            status = _file_error(args, path, exc)
-    return status
+    def tail(path: Path, doc: JamsDocument) -> int:
+        model, violations = _lower(args, path, doc)
+        if _report(args, path, violations, sys.stderr):
+            return 1
+        graph = emit_graph(model, violations)
+        serialize = serialize_turtle if args.format == "ttl" else serialize_ntriples
+        _atomic_write(targets[path], serialize(graph))
+        print(f"{targets[path]}\t{len(graph)}")
+        return 0
 
-
-def _report_violation(args, path: Path, violation) -> None:
-    if args.pretty:
-        print(f"{path}: {violation.code} {violation.severity.value} "
-              f"{violation.subject}: {violation.message}", file=sys.stderr)
-    else:
-        payload = json.loads(violation.to_json_line())
-        payload["path"] = str(path)
-        print(json.dumps(payload, ensure_ascii=False), file=sys.stderr)
+    return _each_file(args, files, status, tail)
 
 
 def cmd_validate(args) -> int:
     files, status = _input_files(args)
-    if status == 2:
-        return status
-
-    for path in files:
-        try:
-            model, code = _load_model(args, path)
-            if model is None:
-                return code
-            for violation in validate_model(model):
-                if args.pretty:
-                    print(f"{violation.code} {violation.severity.value} "
-                          f"{violation.subject}: {violation.message}")
-                else:
-                    print(violation.to_json_line())
-                if violation.severity is Severity.ERROR:
-                    status = 1
-        except (MuseAnnoError, OSError) as exc:
-            status = _file_error(args, path, exc)
-    return status
+    return _each_file(args, files, status, lambda path, doc: _report(
+        args, None, _lower(args, path, doc)[1], sys.stdout))
 
 
 def cmd_query(args) -> int:
-    path = args.input
-    if not path.is_file():
-        _diag(args, path, "io", "no such file or directory")
+    if not args.input.is_file():
+        _diag(args, args.input, "io", "no such file or directory")
         return 1
-    try:
-        model, code = _load_model(args, path)
-        if model is None:
-            return code
-        graph = emit_graph(model)
-        result = answer_cq(args.cq, graph, args.subject)
-    except (MuseAnnoError, OSError) as exc:
-        return _file_error(args, path, exc)
-    sys.stdout.write(result.to_tsv())
-    return 0
+
+    def tail(path: Path, doc: JamsDocument) -> int:
+        model, violations = _lower(args, path, doc)
+        result = answer_cq(args.cq, emit_graph(model, violations), args.subject)
+        sys.stdout.write(result.to_tsv())
+        return 0
+
+    return _each_file(args, [args.input], 0, tail)
 
 
 def cmd_stats(args) -> int:
     files, status = _input_files(args)
-    if status == 2:
-        return status
-
     namespaces: dict[str, int] = {}
     annotator_types: dict[str, int] = {}
-    observations = 0
+    summarized = observations = 0
     min_time: Decimal | None = None
     max_time: Decimal | None = None
-    parsed = 0
-    for path in files:
-        try:
-            doc = parse_jams(path.read_bytes())
-        except (MuseAnnoError, OSError) as exc:
-            status = _file_error(args, path, exc)
-            continue
-        parsed += 1
+
+    def tail(path: Path, doc: JamsDocument) -> int:
+        nonlocal summarized, observations, min_time, max_time
         minter = IriMinter(_base_iri(args))
+        summarized += 1
         for block in doc.annotations:
             namespaces[block.namespace] = namespaces.get(block.namespace, 0) + 1
             annotator = resolve_annotator(block.annotation_metadata, minter)
@@ -307,9 +280,11 @@ def cmd_stats(args) -> int:
                 end = row.time + row.duration
                 min_time = row.time if min_time is None else min(min_time, row.time)
                 max_time = end if max_time is None else max(max_time, end)
+        return 0
 
+    status = _each_file(args, files, status, tail)
     summary = {
-        "files": parsed,
+        "files": summarized,
         "annotations_by_namespace": dict(sorted(namespaces.items())),
         "observations": observations,
         "annotator_types": dict(sorted(annotator_types.items())),

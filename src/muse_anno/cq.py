@@ -166,22 +166,23 @@ def _cq1_graph(graph: RdfGraph, roots: list[str]) -> Iterator[_Row]:
         for ann in graph.objects(obj, vocab.HAS_MUSIC_ANNOTATION):
             if not isinstance(ann, str):
                 continue
-            ann_type = next(iter(graph.types_of(ann)), "")
             kinds = set()
             for obs in graph.objects(ann, vocab.INCLUDES_MUSIC_OBSERVATION):
                 value = graph.value(obs, vocab.HAS_MUSIC_OBSERVATION_VALUE)
                 if isinstance(value, str):
                     kinds.update(graph.types_of(value))
-            for kind in kinds or ("",):
-                yield obj, ann, ann_type, kind
+            for ann_type in graph.types_of(ann) or ("",):
+                for kind in kinds or ("",):
+                    yield obj, ann, ann_type, kind
 
 
 def _cq7_graph(graph: RdfGraph, roots: list[str]) -> Iterator[_Row]:
     for obs in roots:
         value = graph.value(obs, vocab.HAS_MUSIC_OBSERVATION_VALUE)
         if isinstance(value, str):
-            yield (obs, value, next(iter(graph.types_of(value)), ""),
-                   _lex(graph.value(value, vocab.RDFS_LABEL)))
+            label = _lex(graph.value(value, vocab.RDFS_LABEL))
+            for kind in graph.types_of(value) or ("",):
+                yield obs, value, kind, label
 
 
 def _cq8_graph(graph: RdfGraph, roots: list[str]) -> Iterator[_Row]:

@@ -225,7 +225,8 @@ def parse_jams(data: bytes | str) -> JamsDocument:
         )
     except RecursionError as exc:
         # From Python 3.12 on, json.loads accepts values nested deeper than
-        # Python code can recurse into, so canonicalising one can overflow.
+        # Python code can recurse into, so canonicalising one (an observation
+        # value or an annotator map) can overflow.
         raise _unlocated_json_error(text, _TOO_DEEP) from exc
     sandbox = _optional(raw, "sandbox", dict, "sandbox") or {}
     extras = {k: v for k, v in raw.items()
@@ -388,6 +389,9 @@ def _parse_metadata(raw: dict, path: str) -> JamsAnnotationMetadata:
     curator_name = _optional(curator, "name", str, f"{path}.curator.name")
     curator_email = _optional(curator, "email", str, f"{path}.curator.email")
     annotator = _optional(raw, "annotator", dict, f"{path}.annotator") or {}
+    if annotator:
+        # Lowering keys annotators on this form; parse_jams locates an overflow.
+        canonical_json(annotator)
 
     fields: dict[str, str | None] = {}
     for key in _METADATA_STRINGS:
@@ -528,8 +532,9 @@ def resolve_annotator(metadata: JamsAnnotationMetadata,
     if metadata.annotator:
         raw_name = metadata.annotator.get("name")
         name = raw_name if isinstance(raw_name, str) and raw_name else None
-        disc = name or "annotator-" + _short_hash(canonical_json(metadata.annotator))
-        key = ("annotator", canonical_json(metadata.annotator), atype.name)
+        canonical = canonical_json(metadata.annotator)
+        disc = name or "annotator-" + _short_hash(canonical)
+        key = ("annotator", canonical, atype.name)
     elif metadata.curator_name or metadata.curator_email:
         name = metadata.curator_name or metadata.curator_email
         disc = name

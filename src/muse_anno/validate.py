@@ -47,12 +47,12 @@ class Violation:
     message: str
     severity: Severity
 
+    def to_json_data(self) -> dict:
+        return {"code": self.code, "subject": self.subject,
+                "severity": self.severity.value, "message": self.message}
+
     def to_json_line(self) -> str:
-        return json.dumps(
-            {"code": self.code, "subject": self.subject,
-             "severity": self.severity.value, "message": self.message},
-            ensure_ascii=False,
-        )
+        return json.dumps(self.to_json_data(), ensure_ascii=False)
 
 
 @dataclass(frozen=True, slots=True)

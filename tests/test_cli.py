@@ -244,6 +244,45 @@ def test_validate_reports_a_deeply_nested_value(tmp_path, capsys_run, depth):
     assert "nested too deeply" in diagnostic["message"]
 
 
+@pytest.mark.parametrize("command", ["validate", "stats"])
+@pytest.mark.parametrize("depth", [990, 5000])
+def test_a_deeply_nested_annotator_is_one_diagnostic(tmp_path, capsys_run,
+                                                     command, depth):
+    bad = tmp_path / "deep.jams"
+    bad.write_text('{"annotations":[{"namespace":"chord","data":[{"time":0.0,'
+                   '"duration":1.0,"value":"C"}],"annotation_metadata":'
+                   '{"annotator":{"nest":' + "[" * depth + "]" * depth
+                   + '}}}],"file_metadata":{"title":"x","duration":10.0},'
+                   '"sandbox":{}}')
+    code, out, err = capsys_run(command, str(bad), "--modality", "audio")
+    assert code == 1
+    [diagnostic] = [json.loads(line) for line in err.splitlines()]
+    assert diagnostic["error"] == "MalformedJson"
+    assert diagnostic["path"] == str(bad)
+    assert "nested too deeply" in diagnostic["message"]
+    if command == "validate":
+        assert out == ""
+    else:
+        assert json.loads(out)["files"] == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_a_bad_base_iri_is_one_diagnostic_per_file(capsys_run, command):
+    code, out, err = capsys_run(command, str(FIXTURES), "--base-iri",
+                                "not an iri")
+    assert code == 1
+    diagnostics = [json.loads(line) for line in err.splitlines()]
+    assert [d["error"] for d in diagnostics] == ["InvalidBase"] * 3
+    assert [d["path"] for d in diagnostics] == [
+        str(BOHEMIAN), str(MICHELLE), str(MOZART)]
+    if command == "validate":
+        assert out == ""
+    else:
+        assert json.loads(out) == {
+            "files": 0, "annotations_by_namespace": {}, "observations": 0,
+            "annotator_types": {}, "min_time": None, "max_time": None}
+
+
 def test_convert_refuses_inputs_sharing_an_output_name(tmp_path, capsys_run):
     first, second = tmp_path / "a" / "x.jams", tmp_path / "b" / "x.jams"
     for path in (first, second):

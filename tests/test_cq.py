@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from muse_anno import answer_cq, emit_graph, oracle_cq, vocab
+from muse_anno import answer_cq, emit_graph, oracle_cq, parse_turtle, vocab
 from muse_anno.cq import _QUESTIONS
 from muse_anno.errors import SubjectNotFound, SubjectRequired, UnknownCq
 
@@ -101,6 +101,31 @@ def test_cq1_returns_both_type_columns(bohemian_graph, bohemian_model):
     assert result.rows == ((bohemian_model.subject.id,
                             bohemian_model.annotations[0].id,
                             vocab.AUDIO_MUSIC_ANNOTATION, vocab.CHORD),)
+
+
+TWO_TYPES_TTL = """\
+@prefix map: <https://purl.org/andreapoltronieri/music-annotation-pattern#> .
+@prefix ex: <http://example.org/> .
+ex:track a map:Track ; map:hasMusicAnnotation ex:ann , ex:bare .
+ex:ann a map:AudioMusicAnnotation , map:ScoreMusicAnnotation ;
+    map:includesMusicObservation ex:obs .
+ex:bare map:includesMusicObservation ex:obs .
+ex:obs a map:AudioMusicObservation ; map:hasMusicObservationValue ex:v .
+ex:v a map:Chord , map:Segment ; <http://www.w3.org/2000/01/rdf-schema#label> "C" .
+"""
+
+
+def test_cq1_cq7_give_one_row_per_type_on_a_parsed_graph():
+    graph = parse_turtle(TWO_TYPES_TTL)
+    track, ann, bare, obs, value = (
+        "http://example.org/" + name for name in ("track", "ann", "bare", "obs", "v"))
+    assert answer_cq(1, graph).rows == tuple(sorted(
+        [(track, ann, ann_type, kind)
+         for ann_type in (vocab.AUDIO_MUSIC_ANNOTATION, vocab.SCORE_MUSIC_ANNOTATION)
+         for kind in (vocab.CHORD, vocab.SEGMENT)]
+        + [(track, bare, "", kind) for kind in (vocab.CHORD, vocab.SEGMENT)]))
+    assert answer_cq(7, graph, obs).rows == (
+        (obs, value, vocab.CHORD, "C"), (obs, value, vocab.SEGMENT, "C"))
 
 
 def test_cq5_cq6_observation_time_frame(bohemian_graph, bohemian_model):

@@ -169,6 +169,41 @@ def test_value_overflowing_while_canonicalised_reports_malformed(monkeypatch):
         1, text.index("[]") + 1)
 
 
+def _nested_annotator_jams(depth: int) -> str:
+    """A JAMS whose one annotator map holds arrays nested ``depth`` deep."""
+    return ('{"annotations":[{"namespace":"chord","data":[{"time":0.0,'
+            '"duration":1.0,"value":"C"}],"annotation_metadata":{"annotator":'
+            '{"name":"x","nest":' + "[" * depth + "]" * depth + '}}}],'
+            '"file_metadata":{"title":"x","duration":10.0},"sandbox":{}}')
+
+
+@pytest.mark.parametrize("depth", [990, 5000])
+def test_deeply_nested_annotator_reports_malformed_at_the_deepest_bracket(depth):
+    text = _nested_annotator_jams(depth)
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(text)
+    assert str(excinfo.value) == ("arrays and objects nested too deeply "
+                                  f"(line 1, column {text.index('[]') + 1})")
+
+
+def test_annotator_overflowing_while_canonicalised_reports_malformed(
+        monkeypatch):
+    # Lowering canonicalises the annotator map to key the annotator, so
+    # parsing must already have found that it can.
+    canonical_json = ingest.canonical_json
+
+    def overflow_on_annotator(value):
+        if isinstance(value, dict) and "nest" in value:
+            raise RecursionError
+        return canonical_json(value)
+    monkeypatch.setattr(ingest, "canonical_json", overflow_on_annotator)
+    text = _nested_annotator_jams(3)
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(text)
+    assert str(excinfo.value) == ("arrays and objects nested too deeply "
+                                  f"(line 1, column {text.index('[]') + 1})")
+
+
 @pytest.mark.parametrize("title", [r"\ud800", r"x\uDFFFy", r"\udfb5\ud83c",
                                    r"\\\ud83c", r"\ud83cA"])
 def test_lone_surrogate_escape_reports_malformed_at_the_string(title):
