@@ -227,12 +227,11 @@ def _model_start(model: AnnotationModel, roots: list,
         interval = entity.interval
         duration = ()
         if frame:
-            node = interval.duration
-            duration = (vocab.time_value_lexical(node.value, node.value_type),
-                        vocab.time_type_iri(node.value_type))
+            lexical, _, type_iri = vocab.time_value_terms(interval.duration)
+            duration = (lexical, type_iri)
         for comp in interval.index.components:
-            yield (entity.id, vocab.time_value_lexical(comp.value, comp.value_type),
-                   vocab.time_type_iri(comp.value_type), *duration)
+            lexical, _, type_iri = vocab.time_value_terms(comp)
+            yield entity.id, lexical, type_iri, *duration
 
 
 def _model_frame(model: AnnotationModel, roots: list) -> Iterator[_Row]:

@@ -3,11 +3,18 @@
 The graph stores its triples subject -> predicate -> objects, with a
 prefix map and a hash index by predicate and object that the first
 lookup needing it builds and ``add`` drops, so building a graph pays
-nothing for the index and a query never scans.  Everything here is
-deterministic by construction: entity IRIs come from the minting scheme,
-prefixes are sorted by name, literals keep their source lexical forms,
-and both serializers walk the subjects and each subject's predicates in
-sorted order, so one graph always yields the same bytes on any platform.
+nothing for the index and a query never scans.  ``add`` takes one
+triple; ``describe`` hands a subject's single-valued pairs over as one
+dict, which is how the emitter writes each node it mints.  A ``Literal``
+is a named tuple, so building, hashing and comparing literals runs in C.
+
+Everything here is deterministic by construction: entity IRIs come from
+the minting scheme, prefixes are sorted by name, literals keep their
+source lexical forms, and both serializers write in one order
+(``_in_order``: subjects, then each subject's predicates, sorted), so one
+graph always yields the same bytes on any platform.  Each serializer
+renders a distinct term once per call; Turtle writes one string per
+subject block.
 
 ``parse_turtle`` understands exactly the subset ``serialize_turtle``
 emits (prefix declarations, IRIs, prefixed names, ``a``, typed and plain
@@ -23,10 +30,9 @@ again, by a regex with a named group per kind, to locate and classify it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 from operator import length_hint
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import vocab
 from .errors import (MuseAnnoError, TurtleSyntax, UnsupportedConstruct,
@@ -38,9 +44,12 @@ from .util import decimal_lexical
 from .validate import Severity, Violation, validate_model
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """A typed RDF literal; plain strings carry xsd:string."""
+class Literal(NamedTuple):
+    """A typed RDF literal; plain strings carry xsd:string.
+
+    A tuple, so that building, hashing and comparing one runs in C; it
+    never equals an IRI, which travels as a bare ``str``.
+    """
 
     lexical: str
     datatype: str = vocab.XSD_STRING
@@ -92,6 +101,17 @@ class RdfGraph:
         self._count += 1
         self._index = None
 
+    def describe(self, subject: str, pairs: dict[str, Term]) -> None:
+        """Add one object per predicate of ``pairs`` to ``subject``, as
+        ``add`` would each; a new subject takes the dict as it is."""
+        if subject in self._spo:
+            for predicate, obj in pairs.items():
+                self.add(subject, predicate, obj)
+        else:
+            self._spo[subject] = pairs
+            self._count += len(pairs)
+            self._index = None
+
     @property
     def triples(self) -> frozenset[Triple]:
         """Every triple, as a set built on each call."""
@@ -112,14 +132,6 @@ class RdfGraph:
     def sorted_triples(self) -> list[Triple]:
         return list(self.matching())
 
-    def _walk(self) -> Iterator[tuple[str, list[tuple[str, Term | list[Term]]]]]:
-        """Each subject and its (predicate, objects) pairs in codepoint order;
-        a multi-valued pair's objects are a list in N-Triples order."""
-        for subject in sorted(self._spo):
-            yield subject, [(p, sorted(objects, key=nt_term)
-                             if isinstance(objects, set) else objects)
-                            for p, objects in sorted(self._spo[subject].items())]
-
     def _lookup(self) -> tuple[dict[str, dict[Term, list[str]]],
                                dict[tuple[str, str], list[Term]]]:
         if self._index is None:
@@ -128,7 +140,7 @@ class RdfGraph:
             for s in sorted(self._spo):
                 for p, objects in self._spo[s].items():
                     if isinstance(objects, set):
-                        objects = ordered[s, p] = sorted(objects, key=nt_term)
+                        objects = ordered[s, p] = _sorted_objects(objects)
                     by_object = by_predicate.setdefault(p, {})
                     for o in objects if isinstance(objects, list) else (objects,):
                         by_object.setdefault(o, []).append(s)
@@ -216,67 +228,68 @@ def emit_graph(model: AnnotationModel,
 
 def _emit_annotation(graph: RdfGraph, annotation: MusicAnnotation,
                      base_iri: str, values_seen: set[ObservationValue]) -> None:
-    graph.add(annotation.subject, vocab.HAS_MUSIC_ANNOTATION, annotation.id)
-    graph.add(annotation.id, vocab.RDF_TYPE,
-              vocab.annotation_class(annotation.modality))
-
+    add, describe = graph.add, graph.describe
+    add(annotation.subject, vocab.HAS_MUSIC_ANNOTATION, annotation.id)
     annotator = annotation.annotator
-    graph.add(annotation.id, vocab.HAS_ANNOTATOR, annotator.id)
-    graph.add(annotator.id, vocab.IS_ANNOTATOR_OF, annotation.id)
-    graph.add(annotator.id, vocab.RDF_TYPE, vocab.ANNOTATOR)
+    interval = _emit_interval(graph, annotation.id, annotation.interval)
+    describe(annotation.id, {
+        vocab.RDF_TYPE: vocab.annotation_class(annotation.modality),
+        vocab.HAS_ANNOTATOR: annotator.id,
+        vocab.HAS_MUSIC_TIME_INTERVAL: interval})
+    add(annotator.id, vocab.IS_ANNOTATOR_OF, annotation.id)
+    add(annotator.id, vocab.RDF_TYPE, vocab.ANNOTATOR)
     if annotator.name:
-        graph.add(annotator.id, vocab.RDFS_LABEL, Literal(annotator.name))
-    graph.add(annotator.id, vocab.HAS_ANNOTATOR_TYPE,
-              vocab.annotator_type_iri(annotator.annotator_type, base_iri))
-
-    _emit_interval(graph, annotation.id, annotation.interval)
+        add(annotator.id, vocab.RDFS_LABEL, Literal(annotator.name))
+    add(annotator.id, vocab.HAS_ANNOTATOR_TYPE,
+        vocab.annotator_type_iri(annotator.annotator_type, base_iri))
 
     for obs in annotation.observations:
-        graph.add(annotation.id, vocab.INCLUDES_MUSIC_OBSERVATION, obs.id)
-        graph.add(obs.id, vocab.RDF_TYPE, vocab.observation_class(obs.modality))
-        # Materialized property chain: isAnnotatorOf o includesMusicObservation.
-        graph.add(obs.id, vocab.HAS_ANNOTATOR, annotator.id)
-        _emit_interval(graph, obs.id, obs.interval)
+        add(annotation.id, vocab.INCLUDES_MUSIC_OBSERVATION, obs.id)
         value = obs.value
-        graph.add(obs.id, vocab.HAS_MUSIC_OBSERVATION_VALUE, value.id)
+        interval = _emit_interval(graph, obs.id, obs.interval)
+        # Materialized property chain: isAnnotatorOf o includesMusicObservation.
+        pairs = {vocab.RDF_TYPE: vocab.observation_class(obs.modality),
+                 vocab.HAS_ANNOTATOR: annotator.id,
+                 vocab.HAS_MUSIC_TIME_INTERVAL: interval,
+                 vocab.HAS_MUSIC_OBSERVATION_VALUE: value.id}
+        if obs.confidence is not None:
+            pairs[vocab.HAS_CONFIDENCE] = Literal(
+                decimal_lexical(obs.confidence), vocab.XSD_DECIMAL)
+        describe(obs.id, pairs)
         # Observations share value nodes: describe each one once.  The key is
         # the whole value, so a second value reusing an id is still emitted.
         if value not in values_seen:
             values_seen.add(value)
-            graph.add(value.id, vocab.RDF_TYPE, vocab.value_class_iri(value.kind))
-            graph.add(value.id, vocab.RDFS_LABEL, Literal(value.label))
-        if obs.confidence is not None:
-            graph.add(obs.id, vocab.HAS_CONFIDENCE,
-                      Literal(decimal_lexical(obs.confidence), vocab.XSD_DECIMAL))
+            describe(value.id, {vocab.RDF_TYPE: vocab.value_class_iri(value.kind),
+                                vocab.RDFS_LABEL: Literal(value.label)})
 
 
 def _emit_interval(graph: RdfGraph, owner_iri: str,
-                   interval: MusicTimeInterval) -> None:
+                   interval: MusicTimeInterval) -> str:
+    """The interval, index, components and duration hanging off an entity;
+    returns the interval's IRI for the entity's own hasMusicTimeInterval,
+    so that the graph keeps one string of it."""
     iv = interval_iri(owner_iri)
     ix = index_iri(owner_iri)
     du = duration_iri(owner_iri)
-    graph.add(owner_iri, vocab.HAS_MUSIC_TIME_INTERVAL, iv)
-    graph.add(iv, vocab.RDF_TYPE, vocab.MUSIC_TIME_INTERVAL)
-    graph.add(iv, vocab.HAS_MUSIC_TIME_INDEX, ix)
-    graph.add(iv, vocab.HAS_MUSIC_TIME_DURATION, du)
+    describe = graph.describe
+    describe(iv, {vocab.RDF_TYPE: vocab.MUSIC_TIME_INTERVAL,
+                  vocab.HAS_MUSIC_TIME_INDEX: ix,
+                  vocab.HAS_MUSIC_TIME_DURATION: du})
     graph.add(ix, vocab.RDF_TYPE, vocab.MUSIC_TIME_INDEX)
     for position, component in enumerate(interval.index.components):
         comp = component_iri(owner_iri, position)
         graph.add(ix, vocab.HAS_MUSIC_TIME_INDEX_COMPONENT, comp)
-        graph.add(comp, vocab.RDF_TYPE, vocab.MUSIC_TIME_INDEX_COMPONENT)
-        graph.add(comp, vocab.HAS_TIME_VALUE, _time_literal(component))
-        graph.add(comp, vocab.HAS_MUSIC_TIME_VALUE_TYPE,
-                  vocab.time_type_iri(component.value_type))
-    duration = interval.duration
-    graph.add(du, vocab.RDF_TYPE, vocab.MUSIC_TIME_DURATION)
-    graph.add(du, vocab.HAS_TIME_VALUE, _time_literal(duration))
-    graph.add(du, vocab.HAS_MUSIC_TIME_VALUE_TYPE,
-              vocab.time_type_iri(duration.value_type))
+        describe(comp, _time_pairs(vocab.MUSIC_TIME_INDEX_COMPONENT, component))
+    describe(du, _time_pairs(vocab.MUSIC_TIME_DURATION, interval.duration))
+    return iv
 
 
-def _time_literal(part) -> Literal:
-    return Literal(vocab.time_value_lexical(part.value, part.value_type),
-                   vocab.time_value_datatype(part.value_type))
+def _time_pairs(node_class: str, part) -> dict[str, Term]:
+    lexical, datatype, type_iri = vocab.time_value_terms(part)
+    return {vocab.RDF_TYPE: node_class,
+            vocab.HAS_TIME_VALUE: Literal(lexical, datatype),
+            vocab.HAS_MUSIC_TIME_VALUE_TYPE: type_iri}
 
 
 # --- serialization -----------------------------------------------------------
@@ -305,38 +318,74 @@ def nt_term(term: Term) -> str:
     return f"{quoted}^^<{term.datatype}>"
 
 
+def _in_order(graph: RdfGraph) -> Iterator[tuple[str, Iterable[
+        tuple[str, Term | set[Term]]]]]:
+    """Each subject with its (predicate, objects) pairs, in the order both
+    serializers write: subjects, then a subject's predicates, in codepoint
+    order; a multi-valued pair's objects (a set) go in ``_sorted_objects``
+    order."""
+    spo = graph._spo
+    for subject in sorted(spo):
+        predicates = spo[subject]
+        yield subject, (sorted(predicates.items()) if len(predicates) > 1
+                        else predicates.items())
+
+
+def _sorted_objects(objects: set[Term]) -> list[Term]:
+    """A multi-valued pair's objects in N-Triples order."""
+    return sorted(objects, key=nt_term)
+
+
 def serialize_ntriples(graph: RdfGraph) -> str:
-    return "".join(f"<{subject}> <{predicate}> {nt_term(obj)} .\n"
-                   for subject, pairs in graph._walk()
-                   for predicate, objects in pairs
-                   for obj in (objects if isinstance(objects, list)
-                               else (objects,)))
+    """One line per triple, in ``_in_order``; each distinct term is
+    rendered once per call."""
+    rendered: dict[Term, str] = {}
+
+    def render(term: Term) -> str:
+        text = rendered[term] = nt_term(term)
+        return text
+
+    out = []
+    for subject, pairs in _in_order(graph):
+        head = f"<{subject}> <"
+        for predicate, objects in pairs:
+            if isinstance(objects, set):
+                out += [f"{head}{predicate}> {rendered.get(obj) or render(obj)} .\n"
+                        for obj in _sorted_objects(objects)]
+            else:
+                out.append(f"{head}{predicate}> "
+                           f"{rendered.get(objects) or render(objects)} .\n")
+    return "".join(out)
 
 
 _PN_LOCAL = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
-_PN_LOCAL_RE = re.compile(_PN_LOCAL)
 
 
 def serialize_turtle(graph: RdfGraph) -> str:
     """Deterministic Turtle: sorted prefixes, then subject blocks in
-    (subject, predicate, object) codepoint order, one blank line apart.
+    ``_in_order``, one blank line apart.
 
     An IRI is written as a prefixed name under the first prefix, in name
     order, whose namespace it extends by a valid local name, else as
-    ``<IRI>``.  Each distinct term is rendered once per call.
+    ``<IRI>``.  Each distinct term, and each predicate as a verb, is
+    rendered once per call.
     """
     prefixes = sorted(graph.prefixes.items())
+    named = [(prefix, namespace) for prefix, namespace in prefixes if namespace]
+    # One alternative per namespace in prefix name order; when a namespace
+    # matches but leaves no valid local name, fullmatch backtracks into the
+    # next alternative, so group k matches only if no earlier prefix fits.
+    prefixed = re.compile("|".join(
+        f"{re.escape(namespace)}({_PN_LOCAL})" for _, namespace in named)
+        or "(?!)").fullmatch
+    heads = [""] + [prefix + ":" for prefix, _ in named]
     rendered: dict[Term, str] = {}
+    verbs = {vocab.RDF_TYPE: "a "}
 
     def render(term: Term) -> str:
         if isinstance(term, str):
-            text = f"<{term}>"
-            for prefix, namespace in prefixes:
-                if namespace and term.startswith(namespace):
-                    local = term[len(namespace):]
-                    if _PN_LOCAL_RE.fullmatch(local):
-                        text = f"{prefix}:{local}"
-                        break
+            m = prefixed(term)
+            text = heads[m.lastindex] + m[m.lastindex] if m else f"<{term}>"
         else:
             text = f'"{_escape_string(term.lexical)}"'
             if term.datatype != vocab.XSD_STRING:
@@ -345,21 +394,24 @@ def serialize_turtle(graph: RdfGraph) -> str:
         rendered[term] = text
         return text
 
+    def verb(predicate: str) -> str:
+        text = verbs[predicate] = (rendered.get(predicate)
+                                   or render(predicate)) + " "
+        return text
+
+    def many(objects: set[Term]) -> str:
+        return ", ".join([rendered.get(obj) or render(obj)
+                          for obj in _sorted_objects(objects)])
+
     out = [f"@prefix {prefix}: <{namespace}> .\n"
            for prefix, namespace in prefixes]
-    for subject, pairs in graph._walk():
-        out.append("\n" + (rendered.get(subject) or render(subject)))
-        separator = " "
-        for predicate, objects in pairs:
-            out.append(separator)
-            out.append("a " if predicate == vocab.RDF_TYPE
-                       else (rendered.get(predicate) or render(predicate)) + " ")
-            out.append(", ".join([rendered.get(obj) or render(obj)
-                                  for obj in objects])
-                       if isinstance(objects, list)
-                       else rendered.get(objects) or render(objects))
-            separator = " ;\n    "
-        out.append(" .\n")
+    for subject, pairs in _in_order(graph):
+        body = " ;\n    ".join([
+            (verbs.get(predicate) or verb(predicate))
+            + (many(objects) if isinstance(objects, set)
+               else rendered.get(objects) or render(objects))
+            for predicate, objects in pairs])
+        out.append(f"\n{rendered.get(subject) or render(subject)} {body} .\n")
     return "".join(out)
 
 

@@ -265,11 +265,16 @@ def _check_file_duration(obs, file_duration: Decimal | None, report) -> None:
 
 
 def _check_disjointness(model: AnnotationModel, report) -> None:
-    spaces: dict[str, set[str]] = {}
+    # The first space to claim each IRI; a set of them only once a second,
+    # different space claims it.
+    spaces: dict[str, str] = {}
+    shared: dict[str, set[str]] = {}
 
     def claim(iri: str | None, space: str) -> None:
         if iri:
-            spaces.setdefault(iri, set()).add(space)
+            first = spaces.setdefault(iri, space)
+            if first != space:
+                shared.setdefault(iri, {first}).add(space)
 
     if model.subject is not None:
         claim(model.subject.id, "musical object")
@@ -289,10 +294,9 @@ def _check_disjointness(model: AnnotationModel, report) -> None:
             if isinstance(obs.interval, MusicTimeInterval):
                 claim(interval_iri(obs.id), "music time interval")
 
-    for iri in sorted(spaces):
-        used_by = sorted(spaces[iri])
-        if len(used_by) > 1:
-            report("V9", iri, f"id shared by disjoint spaces: {', '.join(used_by)}")
+    for iri in sorted(shared):
+        report("V9", iri,
+               f"id shared by disjoint spaces: {', '.join(sorted(shared[iri]))}")
 
 
 def _is_finite_decimal(value: object) -> bool:

@@ -11,8 +11,6 @@ Display names (object titles, value labels, annotator names) ride on
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from .iri import slug
 from .model import (
     AnnotatorType,
@@ -98,12 +96,14 @@ DEFAULT_PREFIXES = {
 # appear in RDF.  Both the emitter and the model-side query oracle use them,
 # so the two paths cannot drift apart silently.
 
-_TIME_TYPE_IRIS = {
-    MusicTimeValueType.SECONDS: SECONDS,
-    MusicTimeValueType.MILLISECONDS: MILLISECONDS,
-    MusicTimeValueType.MINUTES: MINUTES,
-    MusicTimeValueType.MEASURE: MEASURE,
-    MusicTimeValueType.BEAT: BEAT,
+# Datatype and value-type IRI of each time value type, keyed by the enum
+# value: looking a member up by itself would hash it in Python code.
+_TIME_TERMS = {
+    MusicTimeValueType.SECONDS.value: (XSD_DECIMAL, SECONDS),
+    MusicTimeValueType.MILLISECONDS.value: (XSD_DECIMAL, MILLISECONDS),
+    MusicTimeValueType.MINUTES.value: (XSD_DECIMAL, MINUTES),
+    MusicTimeValueType.MEASURE.value: (XSD_INTEGER, MEASURE),
+    MusicTimeValueType.BEAT.value: (XSD_DECIMAL, BEAT),
 }
 
 _BUILTIN_ANNOTATOR_TYPES = {
@@ -140,10 +140,6 @@ def value_class_iri(kind: ValueKind) -> str:
     return MUSIC_OBSERVATION_VALUE
 
 
-def time_type_iri(value_type: MusicTimeValueType) -> str:
-    return _TIME_TYPE_IRIS[value_type]
-
-
 def annotator_type_iri(atype: AnnotatorType, base_iri: str) -> str:
     """IRI of an annotator-type individual.
 
@@ -158,13 +154,11 @@ def annotator_type_iri(atype: AnnotatorType, base_iri: str) -> str:
     return f"{root}annotator-type/{slug(atype.name)}"
 
 
-def time_value_lexical(value: Decimal, value_type: MusicTimeValueType) -> str:
-    """Lexical form of a time value: integer spelling for measures,
-    fixed-point decimal for everything else."""
-    if value_type is MusicTimeValueType.MEASURE:
-        return integer_lexical(value)
-    return decimal_lexical(value)
-
-
-def time_value_datatype(value_type: MusicTimeValueType) -> str:
-    return XSD_INTEGER if value_type is MusicTimeValueType.MEASURE else XSD_DECIMAL
+def time_value_terms(part) -> tuple[str, str, str]:
+    """Lexical form, datatype and value-type IRI of a time component or
+    duration, from one lookup of its value type: integer spelling for
+    measures, fixed-point decimal for everything else."""
+    datatype, type_iri = _TIME_TERMS[part.value_type._value_]
+    if datatype is XSD_INTEGER:
+        return integer_lexical(part.value), datatype, type_iri
+    return decimal_lexical(part.value), datatype, type_iri

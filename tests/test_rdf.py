@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from dataclasses import replace
 from itertools import groupby, product
 
 import pytest
@@ -11,11 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muse_anno import (
+    CHORD_KIND,
+    SEGMENT_KIND,
     AnnotationModel,
     IriMinter,
     Literal,
+    Modality,
+    MusicTimeValueType,
+    ObservationValue,
     RdfGraph,
     Triple,
+    audio_interval,
     emit_graph,
     mint_iri,
     parse_turtle,
@@ -36,7 +43,7 @@ from muse_anno.rdf import (_UNESCAPE_RE, _UNESCAPES, _UNSUPPORTED, _error,
                             _escape_string, _location, nt_term)
 
 from conftest import GOLDEN
-from injections import BROKEN_MODELS
+from injections import EX, BROKEN_MODELS, valid_model
 from usage_examples import build_michelle_model, build_mozart_model
 from strategies import any_models
 
@@ -794,3 +801,275 @@ def test_parse_matches_the_token_loop_on_edits_of_emitted_turtle(text, edits):
         else:
             text = text[:where] + char + text[where + 1:]
     _assert_parses_as_the_token_loop(text)
+
+
+# --- the write path against the triple-at-a-time one ------------------------------
+
+# The emitter and Turtle writer that ``RdfGraph.describe`` and the one-pass
+# subject blocks replaced, kept as oracles: one ``add`` per triple, the time
+# terms worked out per part, and a prefix loop per IRI.
+_TIME_TYPE_IRIS = {
+    MusicTimeValueType.SECONDS: vocab.SECONDS,
+    MusicTimeValueType.MILLISECONDS: vocab.MILLISECONDS,
+    MusicTimeValueType.MINUTES: vocab.MINUTES,
+    MusicTimeValueType.MEASURE: vocab.MEASURE,
+    MusicTimeValueType.BEAT: vocab.BEAT,
+}
+
+
+def _emit_by_triples(model: AnnotationModel) -> RdfGraph:
+    graph = RdfGraph(prefixes={**vocab.DEFAULT_PREFIXES, "ex": model.base_iri})
+    subject = model.subject
+    if subject is not None:
+        graph.add(subject.id, vocab.RDF_TYPE, vocab.object_class(subject.kind))
+        if subject.title:
+            graph.add(subject.id, vocab.RDFS_LABEL, Literal(subject.title))
+    values_seen = set()
+    for annotation in model.annotations:
+        _emit_annotation_by_triples(graph, annotation, model.base_iri,
+                                    values_seen)
+    return graph
+
+
+def _emit_annotation_by_triples(graph, annotation, base_iri, values_seen):
+    graph.add(annotation.subject, vocab.HAS_MUSIC_ANNOTATION, annotation.id)
+    graph.add(annotation.id, vocab.RDF_TYPE,
+              vocab.annotation_class(annotation.modality))
+    annotator = annotation.annotator
+    graph.add(annotation.id, vocab.HAS_ANNOTATOR, annotator.id)
+    graph.add(annotator.id, vocab.IS_ANNOTATOR_OF, annotation.id)
+    graph.add(annotator.id, vocab.RDF_TYPE, vocab.ANNOTATOR)
+    if annotator.name:
+        graph.add(annotator.id, vocab.RDFS_LABEL, Literal(annotator.name))
+    graph.add(annotator.id, vocab.HAS_ANNOTATOR_TYPE,
+              vocab.annotator_type_iri(annotator.annotator_type, base_iri))
+    _emit_interval_by_triples(graph, annotation.id, annotation.interval)
+    for obs in annotation.observations:
+        graph.add(annotation.id, vocab.INCLUDES_MUSIC_OBSERVATION, obs.id)
+        graph.add(obs.id, vocab.RDF_TYPE, vocab.observation_class(obs.modality))
+        graph.add(obs.id, vocab.HAS_ANNOTATOR, annotator.id)
+        _emit_interval_by_triples(graph, obs.id, obs.interval)
+        value = obs.value
+        graph.add(obs.id, vocab.HAS_MUSIC_OBSERVATION_VALUE, value.id)
+        if value not in values_seen:
+            values_seen.add(value)
+            graph.add(value.id, vocab.RDF_TYPE, vocab.value_class_iri(value.kind))
+            graph.add(value.id, vocab.RDFS_LABEL, Literal(value.label))
+        if obs.confidence is not None:
+            graph.add(obs.id, vocab.HAS_CONFIDENCE,
+                      Literal(format(obs.confidence, "f"), vocab.XSD_DECIMAL))
+
+
+def _emit_interval_by_triples(graph, owner_iri, interval):
+    iv, ix = owner_iri + "/interval", owner_iri + "/interval/index"
+    du = owner_iri + "/interval/duration"
+    graph.add(owner_iri, vocab.HAS_MUSIC_TIME_INTERVAL, iv)
+    graph.add(iv, vocab.RDF_TYPE, vocab.MUSIC_TIME_INTERVAL)
+    graph.add(iv, vocab.HAS_MUSIC_TIME_INDEX, ix)
+    graph.add(iv, vocab.HAS_MUSIC_TIME_DURATION, du)
+    graph.add(ix, vocab.RDF_TYPE, vocab.MUSIC_TIME_INDEX)
+    for position, component in enumerate(interval.index.components):
+        comp = f"{owner_iri}/interval/index/{position}"
+        graph.add(ix, vocab.HAS_MUSIC_TIME_INDEX_COMPONENT, comp)
+        graph.add(comp, vocab.RDF_TYPE, vocab.MUSIC_TIME_INDEX_COMPONENT)
+        graph.add(comp, vocab.HAS_TIME_VALUE, _time_literal(component))
+        graph.add(comp, vocab.HAS_MUSIC_TIME_VALUE_TYPE,
+                  _TIME_TYPE_IRIS[component.value_type])
+    duration = interval.duration
+    graph.add(du, vocab.RDF_TYPE, vocab.MUSIC_TIME_DURATION)
+    graph.add(du, vocab.HAS_TIME_VALUE, _time_literal(duration))
+    graph.add(du, vocab.HAS_MUSIC_TIME_VALUE_TYPE,
+              _TIME_TYPE_IRIS[duration.value_type])
+
+
+def _time_literal(part) -> Literal:
+    if part.value_type is MusicTimeValueType.MEASURE:
+        return Literal(str(int(part.value)), vocab.XSD_INTEGER)
+    return Literal(format(part.value, "f"), vocab.XSD_DECIMAL)
+
+
+def _turtle_by_prefix_loop(graph: RdfGraph) -> str:
+    prefixes = sorted(graph.prefixes.items())
+    rendered = {}
+
+    def render(term):
+        if isinstance(term, str):
+            text = f"<{term}>"
+            for prefix, namespace in prefixes:
+                if namespace and term.startswith(namespace):
+                    local = term[len(namespace):]
+                    if re.fullmatch(r"[A-Za-z0-9_][A-Za-z0-9_\-]*", local):
+                        text = f"{prefix}:{local}"
+                        break
+        else:
+            text = f'"{_escape_by_loop(term.lexical)}"'
+            if term.datatype != vocab.XSD_STRING:
+                text += "^^" + (rendered.get(term.datatype)
+                                or render(term.datatype))
+        rendered[term] = text
+        return text
+
+    out = [f"@prefix {prefix}: <{namespace}> .\n"
+           for prefix, namespace in prefixes]
+    for subject, triples in groupby(graph.sorted_triples(),
+                                    lambda t: t.subject):
+        out.append("\n" + render(subject))
+        separator = " "
+        for predicate, group in groupby(triples, lambda t: t.predicate):
+            out.append(separator)
+            out.append("a " if predicate == vocab.RDF_TYPE
+                       else render(predicate) + " ")
+            out.append(", ".join(render(t.object) for t in group))
+            separator = " ;\n    "
+        out.append(" .\n")
+    return "".join(out)
+
+
+def _ntriples_of_sorted_triples(graph: RdfGraph) -> str:
+    return "".join(f"<{t.subject}> <{t.predicate}> {_nt(t.object)} .\n"
+                   for t in graph.sorted_triples())
+
+
+def _assert_writes_as_the_triple_path(model: AnnotationModel) -> None:
+    graph = emit_graph(model, [])
+    oracle = _emit_by_triples(model)
+    assert graph == oracle
+    assert len(graph) == len(oracle) == len(oracle.triples)
+    assert graph.triples == oracle.triples
+    assert serialize_turtle(graph) == _turtle_by_prefix_loop(oracle)
+    assert serialize_ntriples(graph) == _ntriples_of_sorted_triples(oracle)
+
+
+@given(any_models)
+@settings(max_examples=60)
+def test_generated_models_write_as_the_triple_path(model):
+    _assert_writes_as_the_triple_path(model)
+
+
+def _shared_ids() -> AnnotationModel:
+    """Two observations with one id, but their own values and intervals."""
+    model = valid_model()
+    obs = model.annotations[0].observations[0]
+    twin = replace(obs, interval=audio_interval("4.5", "0.25"),
+                   value=ObservationValue(EX + "value/chord/d", CHORD_KIND, "D"),
+                   confidence=None)
+    return _with_observations(model, (obs, twin))
+
+
+def _observation_on_an_interval(node: str, first: bool) -> AnnotationModel:
+    """An observation whose id is a node that another entity's interval
+    derives, emitted before or after that node."""
+    model = valid_model(Modality.SCORE)
+    obs = model.annotations[0].observations[0]
+    clash = replace(obs, id=obs.id + node,
+                    value=ObservationValue(EX + "value/segment/x",
+                                           SEGMENT_KIND, "x"))
+    return _with_observations(model, (clash, obs) if first else (obs, clash))
+
+
+def _with_observations(model, observations) -> AnnotationModel:
+    annotation = replace(model.annotations[0], observations=observations)
+    return replace(model, annotations=(annotation,))
+
+
+_EDGE_MODELS = {
+    "shared observation id": _shared_ids,
+    **{f"observation id is {node}, {order}":
+       lambda node=node, first=first: _observation_on_an_interval(node, first)
+       for node in ("/interval", "/interval/index", "/interval/index/1",
+                    "/interval/duration")
+       for order, first in (("first", True), ("last", False))},
+    "observation id is the annotation's interval": lambda: _with_observations(
+        valid_model(), (replace(valid_model().annotations[0].observations[0],
+                                id=EX + "annotation/t/0/interval"),)),
+    "two-component score indices": lambda: valid_model(Modality.SCORE),
+    "no subject": lambda: replace(valid_model(), subject=None),
+    "no annotations": AnnotationModel,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_MODELS))
+def test_edge_models_write_as_the_triple_path(name):
+    _assert_writes_as_the_triple_path(_EDGE_MODELS[name]())
+
+
+def test_describe_meets_an_existing_subject():
+    graph = RdfGraph()
+    graph.add(_A, _P, Literal("x"))
+    graph.describe(_A, {_P: Literal("x"), vocab.RDF_TYPE: _NODES[1]})
+    graph.describe(_NODES[2], {_P: _A})
+    assert len(graph) == 3
+    assert graph.triples == {Triple(_A, _P, Literal("x")),
+                             Triple(_A, vocab.RDF_TYPE, _NODES[1]),
+                             Triple(_NODES[2], _P, _A)}
+    assert graph.subjects(_P, _A) == [_NODES[2]]
+    graph.describe(_NODES[2], {_P: _NODES[3]})  # a second object for a pair
+    assert graph.objects(_NODES[2], _P) == [_A, _NODES[3]]
+    assert len(graph) == 4
+
+
+_NAMESPACES = ["", "http://x/", "http://x/y", "http://x/y#", "http://x/y#z",
+               "http://e/", "urn:"]
+_WRITE_IRIS = ["http://x/a", "http://x/y", "http://x/yz", "http://x/y#",
+               "http://x/y#p", "http://x/y#z-1", "http://x/y#zz", "http://x/a.b",
+               "http://x/-a", "http://x/_", "http://e/a/b", "urn:x", "http://z/"]
+_write_terms = st.one_of(
+    st.sampled_from(_WRITE_IRIS),
+    st.builds(Literal, st.sampled_from(["", "1", 'a"b', "a\nb", " "]),
+              st.sampled_from([vocab.XSD_STRING, *_WRITE_IRIS])))
+
+
+@given(st.dictionaries(st.sampled_from(["a", "b", "c", "ex", "z", "rdf"]),
+                       st.sampled_from(_NAMESPACES), max_size=5),
+       st.lists(st.tuples(st.sampled_from(_WRITE_IRIS),
+                          st.sampled_from([vocab.RDF_TYPE, *_WRITE_IRIS]),
+                          _write_terms), max_size=30))
+@example({"a": "http://x/", "b": "http://x/y#", "c": "http://x/y"},
+         [("http://x/y#p", vocab.RDF_TYPE, "http://x/y#"),
+          ("http://x/a.b", "http://x/y#p", vocab.RDF_TYPE),
+          ("http://x/y#p", "http://x/y#p", "http://x/yz")])
+@settings(max_examples=150)
+def test_turtle_and_ntriples_write_as_the_triple_path(prefixes, triples):
+    graph = RdfGraph(prefixes=prefixes)
+    for triple in triples:
+        graph.add(*triple)
+    assert serialize_turtle(graph) == _turtle_by_prefix_loop(graph)
+    assert serialize_ntriples(graph) == _ntriples_of_sorted_triples(graph)
+
+
+# --- Literal as a tuple -------------------------------------------------------------
+
+def test_literal_keeps_its_fields_default_and_repr():
+    assert Literal("1", vocab.XSD_INTEGER) != Literal("1")
+    assert Literal("1") == Literal("1", vocab.XSD_STRING)
+    assert Literal("x").datatype == vocab.XSD_STRING
+    assert repr(Literal("x")) == (
+        "Literal(lexical='x', datatype='http://www.w3.org/2001/XMLSchema#string')")
+    assert repr(Literal("1", vocab.XSD_INTEGER)) == (
+        "Literal(lexical='1', "
+        "datatype='http://www.w3.org/2001/XMLSchema#integer')")
+    for text in (_A, "x", vocab.XSD_STRING):
+        assert Literal(text) != text and text != Literal(text)
+        assert Literal(text, _A) != text and Literal(text, _A) != _A
+
+
+def test_a_literal_object_is_never_unpacked():
+    graph = RdfGraph()
+    literal = Literal("x", _NODES[1])
+    graph.add(_A, _P, literal)
+    for stray in ("x", _NODES[1], Literal("x")):
+        assert Triple(_A, _P, stray) not in graph
+        assert graph.subjects(_P, stray) == []
+        assert list(graph.matching(obj=stray)) == []
+    assert Triple(_A, _P, literal) in graph
+    assert len(graph) == 1
+    assert graph.objects(_A, _P) == [literal]
+    assert graph.value(_A, _P) == literal
+    assert list(graph.matching(_A, _P)) == [Triple(_A, _P, literal)]
+    assert list(graph.matching(None, _P, literal)) == [Triple(_A, _P, literal)]
+    assert graph.subjects(_P, literal) == [_A]
+    assert graph.types_of(_A) == []
+    graph.add(_A, _P, literal)  # a repeat adds nothing
+    graph.add(_A, _P, "x")  # an IRI with the literal's text is another object
+    assert len(graph) == 2
+    assert graph.objects(_A, _P) == [literal, "x"]  # in N-Triples order

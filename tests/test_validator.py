@@ -38,6 +38,31 @@ def test_injection_yields_exactly_one_error(code):
     assert _error_codes(model) == [code]
 
 
+def test_v9_names_the_shared_id_and_its_spaces_in_order():
+    model = BROKEN_MODELS["V9"]()
+    obs = model.annotations[0].observations[0]
+    assert [(v.code, v.subject, v.message) for v in validate_model(model)] == [
+        ("V9", obs.id,
+         "id shared by disjoint spaces: music observation, observation value")]
+    # Three spaces on one id and two on another: one report per id, in
+    # subject order, each listing its spaces once and sorted.
+    annotation = model.annotations[0]
+    annotator = replace(annotation.annotator, id=obs.id)
+    second = replace(obs, id=annotation.id, value=replace(
+        obs.value, id="http://example.org/value/chord/a"))
+    clashing = replace(annotation, annotator=annotator,
+                       observations=(obs, second))
+    reports = [(v.subject, v.message)
+               for v in validate_model(replace(model, annotations=(clashing,)))
+               if v.code == "V9"]
+    assert reports == [
+        (annotation.id,
+         "id shared by disjoint spaces: music annotation, music observation"),
+        (obs.id, "id shared by disjoint spaces: annotator, music observation, "
+                 "observation value"),
+    ]
+
+
 def test_v5_on_two_component_audio_annotation_index():
     model = valid_model()
     annotation = model.annotations[0]
