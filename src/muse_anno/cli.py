@@ -31,13 +31,12 @@ from .ingest import (
     parse_jams,
     resolve_annotator,
 )
-from .iri import IriMinter
+from .iri import DEFAULT_BASE_IRI, IriMinter
 from .model import Modality
 from .rdf import emit_graph, serialize_ntriples, serialize_turtle
 from .util import decimal_lexical
 from .validate import Severity, validate_model
 
-DEFAULT_BASE_IRI = "http://example.org/"
 BASE_IRI_ENV = "MUSE_ANNO_BASE_IRI"
 
 

@@ -33,7 +33,7 @@ from .errors import (
     TypeMismatch,
     UnsupportedNamespace,
 )
-from .iri import IriMinter
+from .iri import DEFAULT_BASE_IRI, IriMinter
 from .model import (
     HUMAN,
     MACHINE,
@@ -51,7 +51,7 @@ from .model import (
     audio_interval,
     score_interval,
 )
-from .util import canonical_json, require_number
+from .util import canonical_json, line_column, require_number
 
 
 # --- document types ---------------------------------------------------------
@@ -132,8 +132,7 @@ class JamsDocument:
                 if md.curator_email is not None:
                     metadata["curator"]["email"] = md.curator_email
             metadata["annotator"] = md.annotator
-            for key in ("annotation_tools", "version", "corpus",
-                        "annotation_rules", "validation", "data_source"):
+            for key in _METADATA_STRINGS:
                 value = getattr(md, key)
                 if value is not None:
                     metadata[key] = value
@@ -170,7 +169,7 @@ class ModalityHint(Enum):
 @dataclass(frozen=True, slots=True)
 class LoweringOptions:
     modality: Modality
-    base_iri: str = "http://example.org/"
+    base_iri: str = DEFAULT_BASE_IRI
     strict_namespaces: bool = False
 
 
@@ -276,8 +275,7 @@ def _reject_lone_surrogates(text: str) -> None:
 
 
 def _json_error_at(text: str, where: int, message: str) -> MalformedJson:
-    line = text.count("\n", 0, where) + 1
-    return MalformedJson(message, line, where - text.rfind("\n", 0, where))
+    return MalformedJson(message, *line_column(text, where))
 
 
 def _require(obj: dict, key: str, expected: type, parent: str = "") -> object:
@@ -330,13 +328,8 @@ def _parse_block(raw: object, path: str) -> JamsAnnotationBlock:
     if not isinstance(namespace, str) or not namespace:
         raise TypeMismatch(f"{path}.namespace", "non-empty string", namespace)
 
-    if "data" not in raw:
-        raise MissingField(f"{path}.data")
-    data_raw = raw["data"]
-    if not isinstance(data_raw, list):
-        raise TypeMismatch(f"{path}.data", "list", data_raw)
     rows = tuple(_parse_row(row, f"{path}.data[{j}]")
-                 for j, row in enumerate(data_raw))
+                 for j, row in enumerate(_require(raw, "data", list, path)))
 
     metadata_raw = _optional(raw, "annotation_metadata", dict,
                              f"{path}.annotation_metadata")
@@ -495,7 +488,7 @@ def _lower_block(block: JamsAnnotationBlock, i: int, subject: MusicalObjectRef,
             measure, beat, beats = _metrical_fields(row, i, j)
             interval = score_interval(measure, beat, beats)
             metrical_rows.append((measure, beat, beats))
-        value = _lower_value(row.value, value_kind, block.namespace, minter)
+        value = _lower_value(row.value, value_kind, minter)
         observations.append(MusicObservation(
             id=obs_id,
             modality=opts.modality,
@@ -554,7 +547,7 @@ def _short_hash(text: str) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:8]
 
 
-def _lower_value(label: str, kind: ValueKind, namespace: str,
+def _lower_value(label: str, kind: ValueKind,
                  minter: IriMinter) -> ObservationValue:
     token = kind.namespace if kind.token == "generic" else kind.token
     value_id = minter.mint("value", [token, label], key=("value", kind, label))

@@ -19,6 +19,8 @@ import unicodedata
 
 from .errors import InvalidBase
 
+DEFAULT_BASE_IRI = "http://example.org/"
+
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _BAD_IRI_CHARS = set(' <>"{}|\\^`\n\r\t')
 
@@ -42,10 +44,16 @@ def slug(text: str) -> str:
     return _NON_SLUG_RE.sub("-", ascii_text).strip("-") or "x"
 
 
+def base_root(base: str) -> str:
+    """The base as the head of a minted IRI: with a '/' added unless it
+    already ends in '/' or '#'."""
+    return base if base.endswith(("/", "#")) else base + "/"
+
+
 def _root(base: str) -> str:
     if not is_absolute_iri(base):
         raise InvalidBase(base)
-    return base if base.endswith(("/", "#")) else base + "/"
+    return base_root(base)
 
 
 def _join(root: str, entity_role: str, discriminators: list[str]) -> str:

@@ -29,6 +29,7 @@ from .errors import (
     NegativeTime,
     OrphanObservation,
 )
+from .iri import DEFAULT_BASE_IRI
 from .util import as_decimal
 
 
@@ -160,7 +161,7 @@ class AnnotationModel:
 
     subject: MusicalObjectRef | None = None
     annotations: tuple[MusicAnnotation, ...] = ()
-    base_iri: str = "http://example.org/"
+    base_iri: str = DEFAULT_BASE_IRI
     file_duration: Decimal | None = None
 
 

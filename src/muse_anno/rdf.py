@@ -5,16 +5,18 @@ prefix map and a hash index by predicate and object that the first
 lookup needing it builds and ``add`` drops, so building a graph pays
 nothing for the index and a query never scans.  ``add`` takes one
 triple; ``describe`` hands a subject's single-valued pairs over as one
-dict, which is how the emitter writes each node it mints.  A ``Literal``
-is a named tuple, so building, hashing and comparing literals runs in C.
+dict, which is how the emitter writes each node it mints.  A graph is
+read through ``objects``, ``value``, ``subjects`` and ``types_of``, or
+enumerated with ``for s, p, o in graph``.  A ``Literal`` is a named
+tuple, so building, hashing and comparing literals runs in C.
 
 Everything here is deterministic by construction: entity IRIs come from
 the minting scheme, prefixes are sorted by name, literals keep their
 source lexical forms, and both serializers write in one order
-(``_in_order``: subjects, then each subject's predicates, sorted), so one
-graph always yields the same bytes on any platform.  Each serializer
-renders a distinct term once per call; Turtle writes one string per
-subject block.
+(``_in_order``: subjects, then each subject's predicates, sorted), which
+is also the order a graph yields its triples in, so one graph always
+gives the same bytes on any platform.  Each serializer renders a
+distinct term once per call; Turtle writes one string per subject block.
 
 ``parse_turtle`` understands exactly the subset ``serialize_turtle``
 emits (prefix declarations, IRIs, prefixed names, ``a``, typed and plain
@@ -40,7 +42,7 @@ from .errors import (MuseAnnoError, TurtleSyntax, UnsupportedConstruct,
 from .iri import component_iri, duration_iri, index_iri, interval_iri
 from .model import (AnnotationModel, MusicAnnotation, MusicTimeInterval,
                     ObservationValue)
-from .util import decimal_lexical
+from .util import decimal_lexical, line_column
 from .validate import Severity, Violation, validate_model
 
 
@@ -112,10 +114,15 @@ class RdfGraph:
             self._count += len(pairs)
             self._index = None
 
-    @property
-    def triples(self) -> frozenset[Triple]:
-        """Every triple, as a set built on each call."""
-        return frozenset(self.matching())
+    def __iter__(self) -> Iterator[Triple]:
+        """Every triple, in the order both serializers write them."""
+        for subject, pairs in _in_order(self):
+            for predicate, objects in pairs:
+                if isinstance(objects, set):
+                    for obj in _sorted_objects(objects):
+                        yield Triple(subject, predicate, obj)
+                else:
+                    yield Triple(subject, predicate, objects)
 
     def __len__(self) -> int:
         return self._count
@@ -128,9 +135,6 @@ class RdfGraph:
         if not isinstance(other, RdfGraph):
             return NotImplemented
         return self._spo == other._spo and self.prefixes == other.prefixes
-
-    def sorted_triples(self) -> list[Triple]:
-        return list(self.matching())
 
     def _lookup(self) -> tuple[dict[str, dict[Term, list[str]]],
                                dict[tuple[str, str], list[Term]]]:
@@ -159,26 +163,7 @@ class RdfGraph:
             return self._lookup()[1][subject, predicate][0]
         return objects
 
-    def matching(self, subject: str | None = None, predicate: str | None = None,
-                 obj: Term | None = None) -> Iterator[Triple]:
-        """Triples matching the given terms, in sorted triple order."""
-        if subject is not None:
-            subjects = [subject]
-        elif predicate is not None:
-            subjects = self.subjects(predicate, obj)
-        else:
-            subjects = sorted(self._spo)
-        for s in subjects:
-            for p in sorted(self._spo.get(s, ())) if predicate is None \
-                    else [predicate]:
-                for o in self.objects(s, p):
-                    if obj is None or o == obj:
-                        yield Triple(s, p, o)
-
-    def subjects(self, predicate: str | None = None,
-                 obj: Term | None = None) -> list[str]:
-        if predicate is None:
-            return sorted({t.subject for t in self.matching(obj=obj)})
+    def subjects(self, predicate: str, obj: Term | None = None) -> list[str]:
         objects = self._lookup()[0].get(predicate, {})
         if obj is not None:
             return list(objects.get(obj, ()))
@@ -207,11 +192,7 @@ def emit_graph(model: AnnotationModel,
         violations = validate_model(model)
     errors = [v for v in violations if v.severity is Severity.ERROR]
     if errors:
-        codes: list[str] = []
-        for violation in errors:
-            if violation.code not in codes:
-                codes.append(violation.code)
-        raise UnvalidatedModel(codes)
+        raise UnvalidatedModel(list(dict.fromkeys(v.code for v in errors)))
 
     graph = RdfGraph(prefixes={**vocab.DEFAULT_PREFIXES, "ex": model.base_iri})
     subject = model.subject
@@ -220,14 +201,15 @@ def emit_graph(model: AnnotationModel,
         if subject.title:
             graph.add(subject.id, vocab.RDFS_LABEL, Literal(subject.title))
 
-    values_seen: set[ObservationValue] = set()
+    values_seen: dict[str, ObservationValue] = {}
     for annotation in model.annotations:
         _emit_annotation(graph, annotation, model.base_iri, values_seen)
     return graph
 
 
 def _emit_annotation(graph: RdfGraph, annotation: MusicAnnotation,
-                     base_iri: str, values_seen: set[ObservationValue]) -> None:
+                     base_iri: str,
+                     values_seen: dict[str, ObservationValue]) -> None:
     add, describe = graph.add, graph.describe
     add(annotation.subject, vocab.HAS_MUSIC_ANNOTATION, annotation.id)
     annotator = annotation.annotator
@@ -256,10 +238,11 @@ def _emit_annotation(graph: RdfGraph, annotation: MusicAnnotation,
             pairs[vocab.HAS_CONFIDENCE] = Literal(
                 decimal_lexical(obs.confidence), vocab.XSD_DECIMAL)
         describe(obs.id, pairs)
-        # Observations share value nodes: describe each one once.  The key is
-        # the whole value, so a second value reusing an id is still emitted.
-        if value not in values_seen:
-            values_seen.add(value)
+        # Observations share value nodes: describe each one once.  A value
+        # that reuses another's id is still described; a repeat adds nothing.
+        seen = values_seen.get(value.id)
+        if seen is not value and seen != value:
+            values_seen[value.id] = value
             describe(value.id, {vocab.RDF_TYPE: vocab.value_class_iri(value.kind),
                                 vocab.RDFS_LABEL: Literal(value.label)})
 
@@ -506,7 +489,7 @@ def parse_turtle(text: str) -> RdfGraph:
                     m = last()
                     at = m.start(m.lastgroup) + offset
                     raise TurtleSyntax(f"undeclared prefix {prefix!r}",
-                                       *_location(text, at))
+                                       *line_column(text, at))
                 found = prefixes[prefix] + local
             names[token] = terms[token] = found
         return found
@@ -578,10 +561,6 @@ def parse_turtle(text: str) -> RdfGraph:
     return graph
 
 
-def _location(text: str, at: int) -> tuple[int, int]:
-    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
-
-
 def _error(text: str, m: re.Match, expected: str,
            constructs: dict[str, str] | None = None) -> MuseAnnoError:
     """The error for token ``m`` where the parser wants ``expected``.
@@ -592,13 +571,13 @@ def _error(text: str, m: re.Match, expected: str,
     """
     at = m.start(m.lastgroup)
     if at and text.startswith('"@', at - 1):
-        return UnsupportedConstruct("language tag", *_location(text, at))
+        return UnsupportedConstruct("language tag", *line_column(text, at))
     message = f"expected {expected}"
     if m.lastgroup != "error":
-        return TurtleSyntax(message, *_location(text, at))
+        return TurtleSyntax(message, *line_column(text, at))
     for opener, construct in (constructs or {}).items():
         if text.startswith(opener, at):
-            return UnsupportedConstruct(construct, *_location(text, at))
+            return UnsupportedConstruct(construct, *line_column(text, at))
     if text.startswith('"', at):
         end = _STRING_HEAD_RE.match(text, at).end()
         stop = text[end:end + 1]
@@ -612,4 +591,4 @@ def _error(text: str, m: re.Match, expected: str,
         message = ("unterminated IRI" if text.find(">", at) < 0
                    else "illegal character in IRI")
         at += 1
-    return TurtleSyntax(message, *_location(text, at))
+    return TurtleSyntax(message, *line_column(text, at))

@@ -37,6 +37,11 @@ def integer_lexical(value: Decimal) -> str:
     return str(int(value))
 
 
+def line_column(text: str, at: int) -> tuple[int, int]:
+    """1-based line and column of offset ``at`` in ``text``."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
 def require_number(value: object, path: str) -> Decimal:
     """Narrow a parsed JSON value to a finite Decimal, or raise TypeMismatch."""
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):

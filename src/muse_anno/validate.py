@@ -11,7 +11,10 @@ tolerates but that usually indicate sloppy input.
 Checks are hierarchical so that a fixture breaking exactly one rule earns
 exactly one code: a missing index reports V1 and suppresses the index
 shape checks, an empty index reports V2 and suppresses V5/V6, and so on.
-Reports are deterministic: sorted by code rank, then subject IRI.
+The model is walked once: each check decides an entity's well-formedness
+in one place, W1 is worked out only for an interval that check accepted,
+and V9 is reported from the identifiers claimed along the way.  Reports
+are deterministic: sorted by code rank, then subject IRI.
 """
 
 from __future__ import annotations
@@ -143,57 +146,93 @@ def explain(code: str) -> str:
 
 
 def validate_model(model: AnnotationModel) -> list[Violation]:
-    """All violations in the model, sorted by code rank then subject IRI."""
+    """All violations in the model, sorted by code rank then subject IRI.
+
+    One walk over the model: each identifier is claimed for V9 where the
+    walk has seen that its entity exists, and V9 is reported from the
+    claims once the walk is done.
+    """
     found: list[Violation] = []
+    # The first space to claim each IRI; a set of them only once a second,
+    # different space claims it.
+    spaces: dict[str, str] = {}
+    shared: dict[str, set[str]] = {}
 
     def report(code: str, subject: str, message: str) -> None:
         found.append(Violation(code, subject, message, RULES[code].severity))
 
+    def claim(iri: str | None, space: str) -> None:
+        if iri:
+            first = spaces.setdefault(iri, space)
+            if first != space:
+                shared.setdefault(iri, {first}).add(space)
+
+    if model.subject is not None:
+        claim(model.subject.id, "musical object")
+    file_duration = model.file_duration
     for annotation in model.annotations:
-        _check_annotator(annotation.id, annotation.annotator, report)
+        claim(annotation.id, "music annotation")
+        _check_annotator(annotation.id, annotation.annotator, model.base_iri,
+                         report, claim)
         _check_interval(annotation.id, annotation.interval,
-                        annotation.modality, report)
+                        annotation.modality, report, claim)
         if not annotation.observations:
             report("W2", annotation.id, "annotation contains no observations")
         for obs in annotation.observations:
+            claim(obs.id, "music observation")
+            claim(obs.value.id if obs.value else None, "observation value")
             if obs.modality is not annotation.modality:
                 report("V4", obs.id,
                        f"{obs.modality.value} observation inside a "
                        f"{annotation.modality.value} annotation")
-            _check_interval(obs.id, obs.interval, obs.modality, report)
+            end = _check_interval(obs.id, obs.interval, obs.modality,
+                                  report, claim)
             _check_confidence(obs.id, obs.confidence, report)
-            _check_file_duration(obs, model.file_duration, report)
+            if end is not None and file_duration is not None \
+                    and end > file_duration:
+                report("W1", obs.id,
+                       f"observation ends at {end}s, past file duration "
+                       f"{file_duration}s")
 
-    _check_disjointness(model, report)
-
+    for iri in sorted(shared):
+        report("V9", iri,
+               f"id shared by disjoint spaces: {', '.join(sorted(shared[iri]))}")
     found.sort(key=lambda v: (_RANK[v.code], v.subject, v.message))
     return found
 
 
-def _check_annotator(annotation_id: str, annotator: object, report) -> None:
+def _check_annotator(annotation_id: str, annotator: object, base_iri: str,
+                     report, claim) -> None:
     if not isinstance(annotator, Annotator):
         report("V7", annotation_id, "annotation has no annotator")
         return
+    claim(annotator.id, "annotator")
     atype = annotator.annotator_type
     if not isinstance(atype, AnnotatorType) or not atype.name:
         report("V8", annotator.id, "annotator has no well-formed annotator type")
+    else:
+        claim(vocab.annotator_type_iri(atype, base_iri), "annotator type")
 
 
 def _check_interval(owner_id: str, interval: object, modality: Modality,
-                    report) -> None:
+                    report, claim) -> Decimal | None:
+    """Check an entity's interval; return its end in seconds when it is
+    well-formed (no V1, V2 or V3) with one component, a duration and
+    signal-time units, which is what W1 compares, else None."""
     if not isinstance(interval, MusicTimeInterval):
         report("V1", owner_id, "entity has no music time interval")
-        return
+        return None
     iv = interval_iri(owner_id)
+    claim(iv, "music time interval")
     index = interval.index
     duration = interval.duration
     if index is None or duration is None:
         report("V1", iv, "interval must hold exactly one index and one duration")
         if index is None:
-            return
+            return None
     if not index.components:
         report("V2", index_iri(owner_id), "index has no components")
-        return
+        return None
 
     malformed = False
     for position, component in enumerate(index.components):
@@ -209,7 +248,7 @@ def _check_interval(owner_id: str, interval: object, modality: Modality,
                "duration needs exactly one finite value and one value type")
         malformed = True
     if malformed:
-        return
+        return None
 
     types = [component.value_type for component in index.components]
     if modality is Modality.AUDIO:
@@ -221,6 +260,11 @@ def _check_interval(owner_id: str, interval: object, modality: Modality,
         if types != [MusicTimeValueType.MEASURE, MusicTimeValueType.BEAT]:
             report("V6", index_iri(owner_id),
                    "score index must be (Measure, Beat)")
+    if duration is None or len(types) != 1:
+        return None
+    start = _in_seconds(index.components[0].value, types[0])
+    length = _in_seconds(duration.value, duration.value_type)
+    return None if start is None or length is None else start + length
 
 
 def _check_confidence(obs_id: str, confidence: Decimal | None, report) -> None:
@@ -241,62 +285,6 @@ def _in_seconds(value: Decimal, value_type: MusicTimeValueType) -> Decimal | Non
         return value / 1000
     factor = _SECONDS_PER.get(value_type)
     return None if factor is None else value * factor
-
-
-def _check_file_duration(obs, file_duration: Decimal | None, report) -> None:
-    if file_duration is None or not isinstance(obs.interval, MusicTimeInterval):
-        return
-    index = obs.interval.index
-    duration = obs.interval.duration
-    if index is None or duration is None or len(index.components) != 1:
-        return
-    component = index.components[0]
-    if not _is_finite_decimal(component.value) or \
-            not _is_finite_decimal(getattr(duration, "value", None)):
-        return
-    start = _in_seconds(component.value, component.value_type)
-    length = _in_seconds(duration.value, duration.value_type)
-    if start is None or length is None:
-        return
-    if start + length > file_duration:
-        report("W1", obs.id,
-               f"observation ends at {start + length}s, past file duration "
-               f"{file_duration}s")
-
-
-def _check_disjointness(model: AnnotationModel, report) -> None:
-    # The first space to claim each IRI; a set of them only once a second,
-    # different space claims it.
-    spaces: dict[str, str] = {}
-    shared: dict[str, set[str]] = {}
-
-    def claim(iri: str | None, space: str) -> None:
-        if iri:
-            first = spaces.setdefault(iri, space)
-            if first != space:
-                shared.setdefault(iri, {first}).add(space)
-
-    if model.subject is not None:
-        claim(model.subject.id, "musical object")
-    for annotation in model.annotations:
-        claim(annotation.id, "music annotation")
-        if isinstance(annotation.annotator, Annotator):
-            claim(annotation.annotator.id, "annotator")
-            atype = annotation.annotator.annotator_type
-            if isinstance(atype, AnnotatorType) and atype.name:
-                claim(vocab.annotator_type_iri(atype, model.base_iri),
-                      "annotator type")
-        if isinstance(annotation.interval, MusicTimeInterval):
-            claim(interval_iri(annotation.id), "music time interval")
-        for obs in annotation.observations:
-            claim(obs.id, "music observation")
-            claim(obs.value.id if obs.value else None, "observation value")
-            if isinstance(obs.interval, MusicTimeInterval):
-                claim(interval_iri(obs.id), "music time interval")
-
-    for iri in sorted(shared):
-        report("V9", iri,
-               f"id shared by disjoint spaces: {', '.join(sorted(shared[iri]))}")
 
 
 def _is_finite_decimal(value: object) -> bool:

@@ -11,7 +11,7 @@ Display names (object titles, value labels, annotator names) ride on
 
 from __future__ import annotations
 
-from .iri import slug
+from .iri import DEFAULT_BASE_IRI, base_root, slug
 from .model import (
     AnnotatorType,
     Modality,
@@ -82,7 +82,7 @@ OBJECT_CLASSES = frozenset({TRACK, SCORE})
 VALUE_CLASSES = frozenset({CHORD, SEGMENT, MUSIC_OBSERVATION_VALUE})
 
 DEFAULT_PREFIXES = {
-    "ex": "http://example.org/",
+    "ex": DEFAULT_BASE_IRI,
     "map": MAP,
     "rdf": RDF,
     "rdfs": RDFS,
@@ -150,8 +150,7 @@ def annotator_type_iri(atype: AnnotatorType, base_iri: str) -> str:
     builtin = _BUILTIN_ANNOTATOR_TYPES.get(atype.name)
     if builtin is not None:
         return builtin
-    root = base_iri if base_iri.endswith(("/", "#")) else base_iri + "/"
-    return f"{root}annotator-type/{slug(atype.name)}"
+    return f"{base_root(base_iri)}annotator-type/{slug(atype.name)}"
 
 
 def time_value_terms(part) -> tuple[str, str, str]:
