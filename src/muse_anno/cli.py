@@ -141,10 +141,18 @@ def _report(args, path: Path | None, violations, file) -> int:
     return int(any(v.severity is Severity.ERROR for v in violations))
 
 
+def _unreadable(args, path: Path) -> int:
+    """Report an input that is missing or not a regular file (reading a
+    FIFO would block); status 1."""
+    _diag(args, path, "io", "not a regular file" if path.exists()
+          else "no such file or directory")
+    return 1
+
+
 def _input_files(args) -> tuple[list[Path], int]:
     """The input files in sorted order, directories expanded to their
-    *.jams files, and the exit status so far: 1 after reporting a missing
-    path.  Nothing to read at all is a usage error."""
+    *.jams files, and the exit status so far: 1 after reporting a path
+    that is neither.  Nothing to read at all is a usage error."""
     files: list[Path] = []
     status = 0
     for path in args.inputs:
@@ -153,8 +161,7 @@ def _input_files(args) -> tuple[list[Path], int]:
         elif path.is_file():
             files.append(path)
         else:
-            _diag(args, path, "io", "no such file or directory")
-            status = 1
+            status = _unreadable(args, path)
     if not files and not status:
         raise _UsageError(None, "no input files found")
     return sorted(files), status
@@ -245,8 +252,7 @@ def cmd_validate(args) -> int:
 
 def cmd_query(args) -> int:
     if not args.input.is_file():
-        _diag(args, args.input, "io", "no such file or directory")
-        return 1
+        return _unreadable(args, args.input)
 
     def tail(path: Path, doc: JamsDocument) -> int:
         model, violations = _lower(args, path, doc)

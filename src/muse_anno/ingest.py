@@ -22,7 +22,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from enum import Enum
 
@@ -49,6 +49,7 @@ from .model import (
     ObservationValue,
     ValueKind,
     audio_interval,
+    interval_end,
     score_interval,
 )
 from .util import canonical_json, line_column, require_number
@@ -454,13 +455,11 @@ def lower_to_model(doc: JamsDocument, opts: LoweringOptions) -> AnnotationModel:
         artist=doc.file_metadata.artist or None,
     )
 
-    annotations = []
-    for i, block in enumerate(doc.annotations):
-        annotations.append(
-            _lower_block(block, i, subject, object_disc, opts, minter))
     return AnnotationModel(
         subject=subject,
-        annotations=tuple(annotations),
+        annotations=tuple(
+            _lower_block(block, i, subject, object_disc, opts, minter)
+            for i, block in enumerate(doc.annotations)),
         base_iri=opts.base_iri,
         file_duration=doc.file_metadata.duration,
     )
@@ -477,37 +476,37 @@ def _lower_block(block: JamsAnnotationBlock, i: int, subject: MusicalObjectRef,
 
     annotator = resolve_annotator(block.annotation_metadata, minter)
     annotation_id = minter.mint("annotation", [object_disc, str(i)])
+    # A row index is its own slug, so this gives the IRIs mint would.
+    row_root = minter.mint("observation", [object_disc, str(i)]) + "/"
 
+    token = value_kind.namespace or value_kind.token  # a generic kind's namespace
+    values: dict[str, ObservationValue] = {}  # one value object per label
     observations = []
-    metrical_rows = []
     for j, row in enumerate(block.data):
-        obs_id = minter.mint("observation", [object_disc, str(i), str(j)])
         if opts.modality is Modality.AUDIO:
             interval = audio_interval(row.time, row.duration)
         else:
-            measure, beat, beats = _metrical_fields(row, i, j)
-            interval = score_interval(measure, beat, beats)
-            metrical_rows.append((measure, beat, beats))
-        value = _lower_value(row.value, value_kind, minter)
+            interval = score_interval(*_metrical_fields(row, i, j))
+        label = row.value
+        value = values.get(label)
+        if value is None:
+            value_id = minter.mint("value", [token, label],
+                                   key=("value", value_kind, label))
+            value = values[label] = ObservationValue(value_id, value_kind, label)
         observations.append(MusicObservation(
-            id=obs_id,
+            id=row_root + str(j),
             modality=opts.modality,
             interval=interval,
             value=value,
             confidence=row.confidence,
         ))
 
-    if opts.modality is Modality.AUDIO:
-        interval = _synth_audio_interval(block.data)
-    else:
-        interval = _synth_score_interval(metrical_rows)
-
     return MusicAnnotation(
         id=annotation_id,
         modality=opts.modality,
         subject=subject.id,
         annotator=annotator,
-        interval=interval,
+        interval=_span(observations, opts.modality),
         observations=tuple(observations),
         value_kind=value_kind,
     )
@@ -547,13 +546,6 @@ def _short_hash(text: str) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:8]
 
 
-def _lower_value(label: str, kind: ValueKind,
-                 minter: IriMinter) -> ObservationValue:
-    token = kind.namespace if kind.token == "generic" else kind.token
-    value_id = minter.mint("value", [token, label], key=("value", kind, label))
-    return ObservationValue(id=value_id, kind=kind, label=label)
-
-
 def _metrical_fields(row: JamsObservationRow, i: int, j: int,
                      ) -> tuple[int, Decimal, Decimal]:
     path = f"annotations[{i}].data[{j}].sandbox"
@@ -575,17 +567,17 @@ def _metrical_fields(row: JamsObservationRow, i: int, j: int,
     return measure, beat, beats
 
 
-def _synth_audio_interval(rows: tuple[JamsObservationRow, ...]):
-    if not rows:
-        return audio_interval(Decimal(0), Decimal(0))
-    start = min(row.time for row in rows)
-    end = max(row.time + row.duration for row in rows)
-    return audio_interval(start, end - start)
-
-
-def _synth_score_interval(rows: list[tuple[int, Decimal, Decimal]]):
-    if not rows:
-        return score_interval(1, Decimal(1), Decimal(0))
-    first = min(rows, key=lambda r: (r[0], r[1]))
-    span = max(beat + beats for _, beat, beats in rows) - first[1]
-    return score_interval(first[0], first[1], span)
+def _span(observations: list[MusicObservation], modality: Modality):
+    """From the least observation index, ``(seconds,)`` or ``(measure,
+    beat)``, with the first row's spelling of equal ones, to the latest
+    ``interval_end``.  For score that is a beat offset, so the span counts
+    beats from the start's beat and drops the measures in between."""
+    if not observations:
+        return (audio_interval(Decimal(0), Decimal(0))
+                if modality is Modality.AUDIO
+                else score_interval(1, Decimal(1), Decimal(0)))
+    first = min(observations, key=lambda obs: [
+        component.value for component in obs.interval.index.components]).interval
+    end = max(interval_end(obs.interval)[0] for obs in observations)
+    return replace(first, duration=replace(
+        first.duration, value=end - first.index.components[-1].value))

@@ -9,7 +9,8 @@ scheme is ``<base><role>/<disc1>/<disc2>...`` with each part slugged, e.g.
 Time-structure nodes (interval, index, components, duration) do not carry
 ids of their own; their IRIs are derived from the owning entity's IRI with
 fixed path suffixes, which keeps them stable without threading a minter
-through every constructor.
+through every constructor.  Observation IRIs likewise number each row
+under its block's minted root, ``observation/<object>/<i>``.
 """
 
 from __future__ import annotations

@@ -4,11 +4,11 @@ The graph stores its triples subject -> predicate -> objects, with a
 prefix map and a hash index by predicate and object that the first
 lookup needing it builds and ``add`` drops, so building a graph pays
 nothing for the index and a query never scans.  ``add`` takes one
-triple; ``describe`` hands a subject's single-valued pairs over as one
-dict, which is how the emitter writes each node it mints.  A graph is
-read through ``objects``, ``value``, ``subjects`` and ``types_of``, or
-enumerated with ``for s, p, o in graph``.  A ``Literal`` is a named
-tuple, so building, hashing and comparing literals runs in C.
+triple; the emitter writes each node it mints with ``_describe``, whose
+dict of single-valued pairs the graph keeps.  A graph is read through
+``objects``, ``value``, ``subjects`` and ``types_of``, or enumerated
+with ``for s, p, o in graph``.  A ``Literal`` is a named tuple, so
+building, hashing and comparing literals runs in C.
 
 Everything here is deterministic by construction: entity IRIs come from
 the minting scheme, prefixes are sorted by name, literals keep their
@@ -103,13 +103,14 @@ class RdfGraph:
         self._count += 1
         self._index = None
 
-    def describe(self, subject: str, pairs: dict[str, Term]) -> None:
+    def _describe(self, subject: str, pairs: dict[str, Term]) -> None:
         """Add one object per predicate of ``pairs`` to ``subject``, as
-        ``add`` would each; a new subject takes the dict as it is."""
+        ``add`` would each; a new subject keeps the dict itself (so the
+        caller never touches it again), and an empty one adds nothing."""
         if subject in self._spo:
             for predicate, obj in pairs.items():
                 self.add(subject, predicate, obj)
-        else:
+        elif pairs:
             self._spo[subject] = pairs
             self._count += len(pairs)
             self._index = None
@@ -210,7 +211,7 @@ def emit_graph(model: AnnotationModel,
 def _emit_annotation(graph: RdfGraph, annotation: MusicAnnotation,
                      base_iri: str,
                      values_seen: dict[str, ObservationValue]) -> None:
-    add, describe = graph.add, graph.describe
+    add, describe = graph.add, graph._describe
     add(annotation.subject, vocab.HAS_MUSIC_ANNOTATION, annotation.id)
     annotator = annotation.annotator
     interval = _emit_interval(graph, annotation.id, annotation.interval)
@@ -238,10 +239,9 @@ def _emit_annotation(graph: RdfGraph, annotation: MusicAnnotation,
             pairs[vocab.HAS_CONFIDENCE] = Literal(
                 decimal_lexical(obs.confidence), vocab.XSD_DECIMAL)
         describe(obs.id, pairs)
-        # Observations share value nodes: describe each one once.  A value
-        # that reuses another's id is still described; a repeat adds nothing.
-        seen = values_seen.get(value.id)
-        if seen is not value and seen != value:
+        # Describe each value object once: another object with its id is
+        # still described, and a repeat adds nothing.
+        if values_seen.get(value.id) is not value:
             values_seen[value.id] = value
             describe(value.id, {vocab.RDF_TYPE: vocab.value_class_iri(value.kind),
                                 vocab.RDFS_LABEL: Literal(value.label)})
@@ -255,7 +255,7 @@ def _emit_interval(graph: RdfGraph, owner_iri: str,
     iv = interval_iri(owner_iri)
     ix = index_iri(owner_iri)
     du = duration_iri(owner_iri)
-    describe = graph.describe
+    describe = graph._describe
     describe(iv, {vocab.RDF_TYPE: vocab.MUSIC_TIME_INTERVAL,
                   vocab.HAS_MUSIC_TIME_INDEX: ix,
                   vocab.HAS_MUSIC_TIME_DURATION: du})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -90,6 +91,35 @@ def test_convert_missing_file_names_path(capsys_run):
     assert out == ""
     diagnostic = json.loads(err.strip())
     assert diagnostic["path"] == "missing.jams"
+
+
+def test_query_on_a_directory_is_not_a_regular_file(tmp_path, capsys_run):
+    code, out, err = capsys_run("query", str(tmp_path), "--cq", "1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "io", "message": "not a regular file",
+                               "path": str(tmp_path)}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_validate_reports_a_fifo_without_reading_it(tmp_path, capsys_run):
+    fifo = tmp_path / "pipe.jams"
+    os.mkfifo(fifo)
+    code, out, err = capsys_run("validate", str(fifo), str(BOHEMIAN),
+                                "--modality", "audio")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "io", "message": "not a regular file",
+                               "path": str(fifo)}
+
+
+def test_a_missing_input_is_no_such_file(tmp_path, capsys_run):
+    missing = tmp_path / "missing.jams"
+    for command in (["query", str(missing), "--cq", "1"],
+                    ["validate", str(missing), str(BOHEMIAN)]):
+        code, out, err = capsys_run(*command)
+        assert code == 1
+        assert json.loads(err)["message"] == "no such file or directory"
 
 
 def test_convert_usage_error_on_bad_format(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from decimal import Decimal
 
@@ -15,9 +16,15 @@ from muse_anno import (
     ModalityHint,
     MusicTimeValueType,
     ObjectKind,
+    audio_interval,
     detect_modality_hint,
+    emit_graph,
     lower_to_model,
+    mint_iri,
     parse_jams,
+    score_interval,
+    serialize_turtle,
+    vocab,
 )
 from muse_anno.errors import (
     MalformedJson,
@@ -561,3 +568,142 @@ def test_audio_lowering_preserves_counts_and_confidence(raw):
             components = obs.interval.index.components
             assert len(components) == 1
             assert components[0].value_type is MusicTimeValueType.SECONDS
+
+
+# --- lowering against the row-level synthesizers -------------------------------
+
+# The annotation interval synthesizers that ``ingest._span`` replaced, kept
+# as oracles: they work from the rows, not from the observations built.
+def _synth_audio_interval(rows):
+    if not rows:
+        return audio_interval(Decimal(0), Decimal(0))
+    start = min(row.time for row in rows)
+    end = max(row.time + row.duration for row in rows)
+    return audio_interval(start, end - start)
+
+
+def _synth_score_interval(rows):
+    if not rows:
+        return score_interval(1, Decimal(1), Decimal(0))
+    first = min(rows, key=lambda r: (r[0], r[1]))
+    span = max(beat + beats for _, beat, beats in rows) - first[1]
+    return score_interval(first[0], first[1], span)
+
+
+def _terms(interval) -> list[tuple[str, str, str]]:
+    """What the graph says of an interval: each part's lexical form,
+    datatype and value type."""
+    return [vocab.time_value_terms(part)
+            for part in (*interval.index.components, interval.duration)]
+
+
+# Equal numbers in several spellings, zero durations, and score rows over
+# four measures.
+_spelled = st.sampled_from(["0", "0.0", "1", "1.0", "1.00", "2.5", "2.50", "7"])
+_metrical_row = st.builds(
+    lambda time, duration, label, measure, beat, beats: (
+        f'{{"time":{time},"duration":{duration},"value":"{label}",'
+        f'"sandbox":{{"measure":{measure},"beat":{beat},'
+        f'"duration_beats":{beats}}}}}'),
+    _spelled, _spelled, st.sampled_from(["A", "B", "C:7"]),
+    st.integers(1, 4), st.sampled_from(["1", "1.0", "1.00", "2.5", "3", "4.0"]),
+    _spelled)
+_TITLES = ["Title", "tItle!", "T\u00eftle", "", "a/b", "a b", "0"]
+
+
+@given(st.sampled_from(_TITLES),
+       st.lists(st.lists(_metrical_row, max_size=6), max_size=4))
+@settings(max_examples=150)
+def test_lowering_spans_match_the_row_synthesizers(title, blocks):
+    text = ('{"annotations":[' + ",".join(
+        '{"namespace":"chord","data":[' + ",".join(rows) + "]}"
+        for rows in blocks)
+        + f'],"file_metadata":{{"title":"{title}"}},"sandbox":{{}}}}')
+    doc = parse_jams(text)
+    for modality in Modality:
+        model = lower_to_model(doc, LoweringOptions(modality=modality))
+        for i, (block, annotation) in enumerate(
+                zip(doc.annotations, model.annotations)):
+            if modality is Modality.AUDIO:
+                oracle = _synth_audio_interval(block.data)
+            else:
+                oracle = _synth_score_interval([
+                    ingest._metrical_fields(row, i, j)
+                    for j, row in enumerate(block.data)])
+            assert annotation.interval == oracle
+            assert _terms(annotation.interval) == _terms(oracle)
+            _assert_rows_share_values_and_number_under_the_block(
+                model, i, doc.file_metadata.title)
+
+
+def _assert_rows_share_values_and_number_under_the_block(model, i, title):
+    by_label = {}
+    for j, obs in enumerate(model.annotations[i].observations):
+        assert obs.id == mint_iri(model.base_iri, "observation",
+                                  [title or "untitled", str(i), str(j)])
+        assert by_label.setdefault(obs.value.label, obs.value) is obs.value
+    assert len({id(value) for value in by_label.values()}) == len(by_label)
+
+
+@pytest.mark.parametrize("title", _TITLES + ["TITLE", "title"])
+def test_rows_of_one_block_share_one_value_object(title):
+    rows = ",".join(f'{{"time":{t},"duration":1,"value":"{label}"}}'
+                    for t, label in enumerate(["C:7", "D", "C:7", "c 7"]))
+    block = f'{{"namespace":"chord","data":[{rows}]}}'
+    model = lower_to_model(parse_jams(
+        f'{{"annotations":[{block},{block}],'
+        f'"file_metadata":{{"title":"{title}"}},"sandbox":{{}}}}'),
+        LoweringOptions(modality=Modality.AUDIO))
+    for i, annotation in enumerate(model.annotations):
+        _assert_rows_share_values_and_number_under_the_block(
+            model, i, model.subject.title)
+        first, _, third, fourth = annotation.observations
+        assert first.value is third.value
+        assert fourth.value is not first.value
+        assert fourth.value.id != first.value.id
+
+
+# Documents whose Turtle was recorded before lowering built annotation
+# intervals from the observations: a score crossing measures, with a tie
+# for the earliest position, and audio over three blocks, one empty, with
+# a tie for the earliest start in different spellings.
+_MULTI_MEASURE_SCORE = (
+    '{"annotations":[{"namespace":"chord","data":['
+    '{"time":0,"duration":0,"value":"C:maj","confidence":0.9,'
+    '"sandbox":{"measure":1,"beat":1,"duration_beats":4}},'
+    '{"time":0,"duration":0,"value":"G:7",'
+    '"sandbox":{"measure":2,"beat":3.0,"duration_beats":2}},'
+    '{"time":0,"duration":0,"value":"C:maj",'
+    '"sandbox":{"measure":3,"beat":1.50,"duration_beats":0}},'
+    '{"time":0,"duration":0,"value":"F:maj",'
+    '"sandbox":{"measure":1,"beat":1.0,"duration_beats":1.5}}],'
+    '"annotation_metadata":{"curator":{"name":"A Score Reader"}}},'
+    '{"namespace":"segment_open","data":['
+    '{"time":0,"duration":0,"value":"A",'
+    '"sandbox":{"measure":2,"beat":1,"duration_beats":8}},'
+    '{"time":0,"duration":0,"value":"B",'
+    '"sandbox":{"measure":4,"beat":1.0,"duration_beats":8}}]}],'
+    '"file_metadata":{"title":"Inline Score","duration":0},"sandbox":{}}')
+_MULTI_BLOCK_AUDIO = (
+    '{"annotations":[{"namespace":"chord","data":['
+    '{"time":1.0,"duration":0.5,"value":"C:maj","confidence":0.8},'
+    '{"time":1.00,"duration":0,"value":"G:7"},'
+    '{"time":2.25,"duration":1.750,"value":"C:maj","confidence":1},'
+    '{"time":1.5,"duration":0.50,"value":"G:7"}]},'
+    '{"namespace":"segment","data":['
+    '{"time":0,"duration":3.0,"value":"verse"},'
+    '{"time":3.0,"duration":4,"value":"chorus"}]},'
+    '{"namespace":"tag_open","data":[]}],'
+    '"file_metadata":{"title":"Inline Audio","duration":10},"sandbox":{}}')
+
+
+@pytest.mark.parametrize("text, modality, digest", [
+    (_MULTI_MEASURE_SCORE, Modality.SCORE,
+     "6a5af477db13822bd115cf52fee3cffccf2688cba5c6ccbbdcdbf6083b87c1f4"),
+    (_MULTI_BLOCK_AUDIO, Modality.AUDIO,
+     "8749244b8b4e44654ecffa5cc75cd5f43f18181664cd941814aa3361325f0524"),
+], ids=["multi-measure score", "multi-block audio"])
+def test_inline_documents_keep_their_turtle(text, modality, digest):
+    model = lower_to_model(parse_jams(text), LoweringOptions(modality=modality))
+    turtle = serialize_turtle(emit_graph(model))
+    assert hashlib.sha256(turtle.encode("utf-8")).hexdigest() == digest

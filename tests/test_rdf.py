@@ -1005,16 +1005,38 @@ def test_edge_models_write_as_the_triple_path(name):
 def test_describe_meets_an_existing_subject():
     graph = RdfGraph()
     graph.add(_A, _P, Literal("x"))
-    graph.describe(_A, {_P: Literal("x"), vocab.RDF_TYPE: _NODES[1]})
-    graph.describe(_NODES[2], {_P: _A})
+    graph._describe(_A, {_P: Literal("x"), vocab.RDF_TYPE: _NODES[1]})
+    graph._describe(_NODES[2], {_P: _A})
     assert len(graph) == 3
     assert set(graph) == {Triple(_A, _P, Literal("x")),
                           Triple(_A, vocab.RDF_TYPE, _NODES[1]),
                           Triple(_NODES[2], _P, _A)}
     assert graph.subjects(_P, _A) == [_NODES[2]]
-    graph.describe(_NODES[2], {_P: _NODES[3]})  # a second object for a pair
+    graph._describe(_NODES[2], {_P: _NODES[3]})  # a second object for a pair
     assert graph.objects(_NODES[2], _P) == [_A, _NODES[3]]
     assert len(graph) == 4
+
+
+def test_describe_with_no_pairs_adds_nothing():
+    graph, bare = RdfGraph(), RdfGraph()
+    for g in (graph, bare):
+        g.add(_A, _P, Literal("x"))
+    graph._describe(_NODES[1], {})
+    graph._describe(_A, {})
+    assert graph == bare
+    assert len(graph) == 1
+    assert serialize_turtle(graph) == serialize_turtle(bare)
+    assert parse_turtle(serialize_turtle(graph)) == bare
+
+
+def test_the_dict_a_graph_keeps_is_not_shared():
+    # _describe keeps a new subject's dict: only the emitter calls it, and
+    # it builds a fresh dict for every node.
+    assert not hasattr(RdfGraph, "describe")
+    graph = emit_graph(build_mozart_model())
+    maps = list(graph._spo.values())
+    assert len({id(pairs) for pairs in maps}) == len(maps)
+    assert len(graph) == len(list(graph))
 
 
 _NAMESPACES = ["", "http://x/", "http://x/y", "http://x/y#", "http://x/y#z",
