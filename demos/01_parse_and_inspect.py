@@ -18,7 +18,8 @@ def main() -> None:
 
     fm = doc.file_metadata
     print(f"{fm.artist} - {fm.title}  ({fm.duration}s, JAMS {fm.jams_version})")
-    print(f"modality hint: {detect_modality_hint(doc).value}")
+    hint = detect_modality_hint(doc)
+    print(f"modality hint: {hint.value if hint else 'unknown'}")
     print()
 
     for block in doc.annotations:

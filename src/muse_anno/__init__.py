@@ -16,7 +16,6 @@ from .ingest import (
     JamsFileMetadata,
     JamsObservationRow,
     LoweringOptions,
-    ModalityHint,
     detect_modality_hint,
     lower_to_model,
     parse_jams,
@@ -44,7 +43,6 @@ from .model import (
     ObjectKind,
     ObservationValue,
     ValueKind,
-    annotator_of_observation,
     attach_observation,
     audio_interval,
     interval_end,
@@ -83,7 +81,6 @@ __all__ = [
     "LoweringOptions",
     "MACHINE",
     "Modality",
-    "ModalityHint",
     "MuseAnnoError",
     "MusicAnnotation",
     "MusicObservation",
@@ -101,7 +98,6 @@ __all__ = [
     "Triple",
     "ValueKind",
     "Violation",
-    "annotator_of_observation",
     "answer_cq",
     "attach_observation",
     "audio_interval",

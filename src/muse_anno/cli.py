@@ -188,13 +188,12 @@ def _each_file(args, files: list[Path], status: int, tail) -> int:
 
 def _lower(args, path: Path, doc: JamsDocument):
     """Lower and validate a parsed file: ``(model, violations)``."""
-    modality = args.modality
-    if modality == "auto":
-        modality = detect_modality_hint(doc).value
-        if modality == "unknown":
-            raise _UsageError(path, "cannot infer modality; pass --modality "
-                                    "audio or --modality score")
-    opts = LoweringOptions(modality=Modality(modality),
+    modality = (detect_modality_hint(doc) if args.modality == "auto"
+                else Modality(args.modality))
+    if modality is None:
+        raise _UsageError(path, "cannot infer modality; pass --modality "
+                                "audio or --modality score")
+    opts = LoweringOptions(modality=modality,
                            base_iri=_base_iri(args),
                            strict_namespaces=args.strict)
     model = lower_to_model(doc, opts)

@@ -45,9 +45,11 @@ class TypeMismatch(MuseAnnoError):
 class UnsupportedNamespace(MuseAnnoError):
     """Strict lowering rejected a namespace outside the registry."""
 
-    def __init__(self, namespace: str):
-        super().__init__(f"namespace {namespace!r} is not in the value-kind registry")
+    def __init__(self, namespace: str, path: str):
+        super().__init__(f"namespace {namespace!r} at {path} is not in the "
+                         "value-kind registry")
         self.namespace = namespace
+        self.path = path
 
 
 class ScoreLoweringMissingMetricalTime(MuseAnnoError):
@@ -83,14 +85,6 @@ class ModalityMismatch(MuseAnnoError):
         )
         self.annotation_modality = annotation_modality
         self.observation_modality = observation_modality
-
-
-class OrphanObservation(MuseAnnoError):
-    """The observation id is not contained in any annotation of the model."""
-
-    def __init__(self, obs_id: str):
-        super().__init__(f"observation {obs_id} is not contained in any annotation")
-        self.obs_id = obs_id
 
 
 class IncommensurableUnits(MuseAnnoError):

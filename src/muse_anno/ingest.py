@@ -21,10 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import sys
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from enum import Enum
 
 from .errors import (
     MalformedJson,
@@ -52,7 +50,7 @@ from .model import (
     interval_end,
     score_interval,
 )
-from .util import canonical_json, line_column, require_number
+from .util import canonical_json, int_digit_limit, line_column, require_number
 
 
 # --- document types ---------------------------------------------------------
@@ -161,12 +159,6 @@ class JamsDocument:
         }
 
 
-class ModalityHint(Enum):
-    AUDIO = "audio"
-    SCORE = "score"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True, slots=True)
 class LoweringOptions:
     modality: Modality
@@ -243,7 +235,7 @@ def _unlocated_json_error(text: str, message: str) -> MalformedJson:
     """Locate a failure json.loads reports without a position: the first
     integer literal over the conversion limit, or else the first bracket
     at the deepest nesting level."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = int_digit_limit()
     depth = deepest = where = 0
     for token in _JSON_TOKEN_RE.finditer(text):
         digits, fraction, exponent = token.groups()
@@ -303,10 +295,7 @@ def _parse_file_metadata(raw: dict) -> JamsFileMetadata:
              "identifiers")
     duration = None
     if raw.get("duration") is not None:
-        duration = require_number(raw["duration"], "file_metadata.duration")
-        if duration < 0:
-            raise TypeMismatch("file_metadata.duration",
-                               "non-negative number", raw["duration"])
+        duration = require_number(raw["duration"], "file_metadata.duration", 0)
     return JamsFileMetadata(
         jams_version=_optional(raw, "jams_version", str,
                                "file_metadata.jams_version") or "",
@@ -347,13 +336,8 @@ def _parse_row(raw: object, path: str) -> JamsObservationRow:
     for key in ("time", "duration", "value"):
         if key not in raw:
             raise MissingField(f"{path}.{key}")
-    time = require_number(raw["time"], f"{path}.time")
-    duration = require_number(raw["duration"], f"{path}.duration")
-    if time < 0:
-        raise TypeMismatch(f"{path}.time", "non-negative number", raw["time"])
-    if duration < 0:
-        raise TypeMismatch(f"{path}.duration", "non-negative number",
-                           raw["duration"])
+    time = require_number(raw["time"], f"{path}.time", 0)
+    duration = require_number(raw["duration"], f"{path}.duration", 0)
     confidence = None
     if raw.get("confidence") is not None:
         confidence = require_number(raw["confidence"], f"{path}.confidence")
@@ -412,25 +396,25 @@ def _parse_metadata(raw: dict, path: str) -> JamsAnnotationMetadata:
 
 # --- modality hint -----------------------------------------------------------
 
-def detect_modality_hint(doc: JamsDocument) -> ModalityHint:
+def detect_modality_hint(doc: JamsDocument) -> Modality | None:
     """Advisory modality suggestion; never overrides the caller's choice.
 
-    Score when every observation row carries the metrical sandbox keys,
-    Audio when none do and the file declares a duration, Unknown otherwise
-    (including mixed evidence).  A file with no rows at all falls back to
-    the file duration alone.
+    Score when every observation row carries the sandbox keys ``measure``
+    and ``beat``, audio when none do and the file declares a duration,
+    None otherwise (including mixed evidence).  A file with no rows at all
+    falls back to the file duration alone.
     """
     rows = [row for block in doc.annotations for row in block.data]
     has_duration = doc.file_metadata.duration is not None
     if not rows:
-        return ModalityHint.AUDIO if has_duration else ModalityHint.UNKNOWN
+        return Modality.AUDIO if has_duration else None
     metrical = ["measure" in row.sandbox and "beat" in row.sandbox
                 for row in rows]
     if all(metrical):
-        return ModalityHint.SCORE
+        return Modality.SCORE
     if not any(metrical) and has_duration:
-        return ModalityHint.AUDIO
-    return ModalityHint.UNKNOWN
+        return Modality.AUDIO
+    return None
 
 
 # --- lowering ----------------------------------------------------------------
@@ -440,9 +424,11 @@ def lower_to_model(doc: JamsDocument, opts: LoweringOptions) -> AnnotationModel:
 
     One musical object (track for audio, score for score modality), one
     annotation per JAMS annotation block, one observation per data row.
-    Since JAMS has no annotation-level interval, each annotation gets a
-    synthesized one spanning [earliest observation start, latest
-    observation end] in the observations' unit.
+    Since JAMS has no annotation-level interval, each annotation gets one
+    synthesized from its observations: from the earliest observation start
+    to the latest observation end, in the observations' unit.  For score
+    that end is a beat offset, so the span does not cover the measures it
+    crosses (docs/mapping.md, "Annotation interval").
     """
     minter = IriMinter(opts.base_iri)
     title = doc.file_metadata.title
@@ -471,7 +457,8 @@ def _lower_block(block: JamsAnnotationBlock, i: int, subject: MusicalObjectRef,
     value_kind = NAMESPACE_KINDS.get(block.namespace)
     if value_kind is None:
         if opts.strict_namespaces:
-            raise UnsupportedNamespace(block.namespace)
+            raise UnsupportedNamespace(block.namespace,
+                                       f"annotations[{i}].namespace")
         value_kind = ValueKind.generic(block.namespace)
 
     annotator = resolve_annotator(block.annotation_metadata, minter)
@@ -553,18 +540,11 @@ def _metrical_fields(row: JamsObservationRow, i: int, j: int,
     for key in ("measure", "beat", "duration_beats"):
         if key not in sandbox:
             raise ScoreLoweringMissingMetricalTime(path, key)
-    measure_raw = sandbox["measure"]
-    if isinstance(measure_raw, bool) or not isinstance(measure_raw, (int, Decimal)):
-        raise TypeMismatch(f"{path}.measure", "positive integer", measure_raw)
-    if isinstance(measure_raw, Decimal):
-        if measure_raw != int(measure_raw):
-            raise TypeMismatch(f"{path}.measure", "positive integer", measure_raw)
-        measure = int(measure_raw)
-    else:
-        measure = measure_raw
-    beat = require_number(sandbox["beat"], f"{path}.beat")
-    beats = require_number(sandbox["duration_beats"], f"{path}.duration_beats")
-    return measure, beat, beats
+    measure = require_number(sandbox["measure"], f"{path}.measure", 1,
+                             integral=True)
+    beat = require_number(sandbox["beat"], f"{path}.beat", 1)
+    beats = require_number(sandbox["duration_beats"], f"{path}.duration_beats", 0)
+    return int(measure), beat, beats
 
 
 def _span(observations: list[MusicObservation], modality: Modality):

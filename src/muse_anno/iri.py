@@ -83,7 +83,6 @@ class IriMinter:
 
     def __init__(self, base: str):
         self._root = _root(base)
-        self.base = base
         self._by_key: dict[object, str] = {}
         self._used: set[str] = set()
 

@@ -27,7 +27,6 @@ from .errors import (
     InvalidMeasure,
     ModalityMismatch,
     NegativeTime,
-    OrphanObservation,
 )
 from .iri import DEFAULT_BASE_IRI
 from .util import as_decimal
@@ -230,19 +229,6 @@ def attach_observation(annotation: MusicAnnotation,
     if obs.modality is not annotation.modality:
         raise ModalityMismatch(annotation.modality.value, obs.modality.value)
     return replace(annotation, observations=annotation.observations + (obs,))
-
-
-def annotator_of_observation(model: AnnotationModel, obs_id: str) -> Annotator:
-    """The annotator an observation inherits from its containing annotation.
-
-    This is the materialized form of the pattern's property chain: an
-    observation has no annotator of its own.
-    """
-    for annotation in model.annotations:
-        for obs in annotation.observations:
-            if obs.id == obs_id:
-                return annotation.annotator
-    raise OrphanObservation(obs_id)
 
 
 def interval_end(interval: MusicTimeInterval) -> tuple[Decimal, MusicTimeValueType]:

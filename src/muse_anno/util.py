@@ -10,6 +10,7 @@ always available via ``float(value)``.
 from __future__ import annotations
 
 import json
+import sys
 from decimal import Decimal, InvalidOperation
 
 from .errors import TypeMismatch
@@ -42,14 +43,44 @@ def line_column(text: str, at: int) -> tuple[int, int]:
     return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
-def require_number(value: object, path: str) -> Decimal:
-    """Narrow a parsed JSON value to a finite Decimal, or raise TypeMismatch."""
-    if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
-        raise TypeMismatch(path, "number", value)
-    dec = Decimal(value) if isinstance(value, int) else value
-    if not dec.is_finite():
-        raise TypeMismatch(path, "finite number", value)
-    return dec
+def int_digit_limit() -> int:
+    """Most digits ``str(int)`` may write or ``int(str)`` read; 0 is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def require_number(value: object, path: str, minimum: int | None = None,
+                   integral: bool = False) -> Decimal:
+    """Narrow a parsed JSON value to a finite Decimal of at least
+    ``minimum``, or raise TypeMismatch.  An ``integral`` number must also
+    be whole, with no more digits than ``integer_lexical`` can write, and
+    each of its failures names its whole range (``positive integer``)."""
+    dec = value
+    if isinstance(value, int) and not isinstance(value, bool):
+        dec = Decimal(value)
+    if not isinstance(dec, Decimal):
+        expected = "number"
+    elif not dec.is_finite():
+        expected = "finite number"
+    elif (minimum is not None and dec < minimum
+          or integral and not _writable_integer(dec)):
+        expected = _range(minimum, integral)
+    else:
+        return dec
+    raise TypeMismatch(path, _range(minimum, integral) if integral else expected,
+                       value)
+
+
+def _range(minimum: int, integral: bool) -> str:
+    if integral:
+        return "positive integer" if minimum == 1 else f"integer >= {minimum}"
+    return "non-negative number" if minimum == 0 else f"number >= {minimum}"
+
+
+def _writable_integer(dec: Decimal) -> bool:
+    # Decimal operations only: int() of 1e1000000 alone runs for minutes.
+    limit = int_digit_limit()
+    return (dec == dec.to_integral_value()
+            and not (limit and dec and dec.adjusted() >= limit))
 
 
 def canonical_json(value: object) -> str:

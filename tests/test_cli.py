@@ -184,6 +184,54 @@ def test_validate_errors_exit_one(tmp_path, capsys_run):
     assert codes == ["V10"]
 
 
+def _score_file(tmp_path, key: str, number: str):
+    sandbox = {"measure": "1", "beat": "1", "duration_beats": "1", key: number}
+    path = tmp_path / "score.jams"
+    path.write_text(
+        '{"annotations":[{"namespace":"chord","data":[{"time":0.0,'
+        '"duration":0.0,"value":"C","sandbox":{'
+        + ",".join(f'"{k}":{v}' for k, v in sandbox.items())
+        + '}}]}],"file_metadata":{"title":"x"},"sandbox":{}}')
+    return path
+
+
+def _run_isolated(*argv: str) -> tuple[int, str, str]:
+    """Run the console script in a child process that may not hang."""
+    result = subprocess.run([sys.executable, "-m", "muse_anno", *argv],
+                            capture_output=True, text=True, timeout=20)
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("key, number", [
+    ("beat", "0.5"), ("measure", "0"), ("measure", "2.5"),
+    ("duration_beats", "-1"), ("measure", "1e5000"), ("measure", "1e1000000")])
+def test_validate_locates_a_metrical_value_out_of_range(tmp_path, capsys_run,
+                                                        key, number):
+    argv = ("validate", "--modality", "score",
+            str(_score_file(tmp_path, key, number)))
+    # int() of 1e1000000 alone runs for minutes.
+    run = _run_isolated if number == "1e1000000" else capsys_run
+    code, out, err = run(*argv)
+    assert code == 1
+    assert out == ""
+    [diagnostic] = [json.loads(line) for line in err.splitlines()]
+    assert diagnostic["error"] == "TypeMismatch"
+    assert f"at annotations[0].data[0].sandbox.{key}," in diagnostic["message"]
+
+
+def test_convert_locates_a_measure_too_long_to_write(tmp_path):
+    source = _score_file(tmp_path, "measure", "1e5000")
+    code, out, err = _run_isolated("convert", "--modality", "score",
+                                   str(source), "-o", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    [diagnostic] = [json.loads(line) for line in err.splitlines()]
+    assert diagnostic["error"] == "TypeMismatch"
+    assert diagnostic["message"].startswith(
+        "expected positive integer at annotations[0].data[0].sandbox.measure,")
+    assert not list((tmp_path / "out").glob("*.ttl"))
+
+
 @pytest.mark.parametrize("payload", [b"[" * 100_000,
                                      b'{"n": ' + b"9" * 5000 + b"}"],
                          ids=["deep_nesting", "long_integer"])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from muse_anno import (
     LoweringOptions,
     Modality,
-    ModalityHint,
     MusicTimeValueType,
     ObjectKind,
     audio_interval,
@@ -344,11 +343,11 @@ def test_non_string_values_stored_canonically():
 # --- modality hint -----------------------------------------------------------
 
 def test_hint_audio_for_audio_fixture(bohemian_doc):
-    assert detect_modality_hint(bohemian_doc) is ModalityHint.AUDIO
+    assert detect_modality_hint(bohemian_doc) is Modality.AUDIO
 
 
 def test_hint_score_when_all_rows_metrical(mozart_doc):
-    assert detect_modality_hint(mozart_doc) is ModalityHint.SCORE
+    assert detect_modality_hint(mozart_doc) is Modality.SCORE
 
 
 def test_hint_unknown_for_mixed_rows():
@@ -359,14 +358,14 @@ def test_hint_unknown_for_mixed_rows():
         '"sandbox":{"measure":1,"beat":1}},'
         '{"time":1.0,"duration":1.0,"value":"C"}]}]')
     doc = parse_jams(text)
-    assert detect_modality_hint(doc) is ModalityHint.UNKNOWN
+    assert detect_modality_hint(doc) is None
 
 
 def test_hint_without_rows_follows_duration():
-    assert detect_modality_hint(parse_jams(EMPTY_CORPUS)) is ModalityHint.AUDIO
+    assert detect_modality_hint(parse_jams(EMPTY_CORPUS)) is Modality.AUDIO
     no_duration = ('{"annotations":[],"file_metadata":{"title":""},'
                    '"sandbox":{}}')
-    assert detect_modality_hint(parse_jams(no_duration)) is ModalityHint.UNKNOWN
+    assert detect_modality_hint(parse_jams(no_duration)) is None
 
 
 # --- lowering ----------------------------------------------------------------
@@ -448,11 +447,14 @@ def test_lower_generic_namespace():
 def test_lower_strict_namespaces_rejects_generic():
     text = EMPTY_CORPUS.replace(
         '"annotations":[]',
-        '"annotations":[{"namespace":"beat_position","data":[]}]')
-    doc = parse_jams(text)
+        '"annotations":[{"namespace":"chord","data":[]},'
+        '{"namespace":"beat_position","data":[]}]')
     opts = LoweringOptions(modality=Modality.AUDIO, strict_namespaces=True)
-    with pytest.raises(UnsupportedNamespace):
-        lower_to_model(doc, opts)
+    with pytest.raises(UnsupportedNamespace) as excinfo:
+        lower_to_model(parse_jams(text), opts)
+    assert excinfo.value.path == "annotations[1].namespace"
+    assert str(excinfo.value) == ("namespace 'beat_position' at annotations[1]."
+                                  "namespace is not in the value-kind registry")
 
 
 def test_lower_score_modality(mozart_score_model):
@@ -470,6 +472,40 @@ def test_lower_score_needs_metrical_sandbox(bohemian_doc):
         lower_to_model(bohemian_doc, LoweringOptions(modality=Modality.SCORE))
     assert "measure" in str(excinfo.value)
     assert "annotations[0].data[0]" in excinfo.value.path
+
+
+# Sandbox values as JSON spells them: integers around the bounds, decimals
+# with exponents up to 10**4, and values of the wrong type.  None stands
+# for a missing key.
+_sandbox_value = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.builds(lambda digits, fraction, exponent: f"{digits}{fraction}e{exponent}",
+              st.integers(-2, 99), st.sampled_from(["", ".0", ".5", ".25"]),
+              st.integers(-10**4, 10**4)),
+    st.sampled_from(["true", "false", '"1"', "null", "[]", None]))
+
+
+@given(st.lists(st.fixed_dictionaries({
+    key: _sandbox_value for key in ("measure", "beat", "duration_beats")}),
+    min_size=1, max_size=3))
+@settings(max_examples=300)
+def test_score_lowering_succeeds_or_raises_at_a_sandbox_path(rows):
+    data = ",".join(
+        '{"time":0,"duration":0,"value":"C","sandbox":{' + ",".join(
+            f'"{key}":{value}' for key, value in row.items()
+            if value is not None) + "}}"
+        for row in rows)
+    doc = parse_jams(EMPTY_CORPUS.replace(
+        '"annotations":[]',
+        '"annotations":[{"namespace":"chord","data":[' + data + "]}]"))
+    try:
+        model = lower_to_model(doc, LoweringOptions(modality=Modality.SCORE))
+    except (MissingField, TypeMismatch,
+            ScoreLoweringMissingMetricalTime) as exc:
+        assert exc.path.startswith("annotations[0].data[")
+        assert ".sandbox" in exc.path
+    else:
+        assert serialize_turtle(emit_graph(model))
 
 
 def test_lower_base_iri_option(bohemian_doc):

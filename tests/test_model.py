@@ -13,12 +13,12 @@ from muse_anno import (
     MusicObservation,
     MusicTimeValueType,
     ObservationValue,
-    annotator_of_observation,
     attach_observation,
     audio_interval,
     interval_end,
     make_audio_index,
     make_score_index,
+    oracle_cq,
     score_interval,
 )
 from muse_anno.errors import (
@@ -27,7 +27,6 @@ from muse_anno.errors import (
     InvalidMeasure,
     ModalityMismatch,
     NegativeTime,
-    OrphanObservation,
 )
 
 from strategies import any_models
@@ -105,19 +104,6 @@ def test_attach_observation_rejects_modality_mismatch(bohemian_model):
     assert "audio" in message and "score" in message
 
 
-def test_annotator_of_observation_fixture(bohemian_model):
-    for obs in bohemian_model.annotations[0].observations:
-        annotator = annotator_of_observation(bohemian_model, obs.id)
-        assert annotator.name == "Matthias Mauch"
-        assert annotator is bohemian_model.annotations[0].annotator
-
-
-def test_annotator_of_observation_orphan(bohemian_model):
-    with pytest.raises(OrphanObservation):
-        annotator_of_observation(bohemian_model,
-                                 "http://example.org/observation/nowhere")
-
-
 def test_interval_end_fixture_case():
     interval = audio_interval(Decimal("0.459"), Decimal("3.663"))
     end, unit = interval_end(interval)
@@ -155,8 +141,8 @@ def test_modality_closure_and_chain_coherence(model):
     for annotation in model.annotations:
         for obs in annotation.observations:
             assert obs.modality is annotation.modality
-            assert annotator_of_observation(model, obs.id).id == \
-                annotation.annotator.id
+            [row] = oracle_cq(8, model, obs.id).rows
+            assert row[1] == annotation.annotator.id
 
 
 @given(any_models)
