@@ -43,7 +43,6 @@ from .model import (
     ObjectKind,
     ObservationValue,
     ValueKind,
-    attach_observation,
     audio_interval,
     interval_end,
     make_audio_index,
@@ -99,7 +98,6 @@ __all__ = [
     "ValueKind",
     "Violation",
     "answer_cq",
-    "attach_observation",
     "audio_interval",
     "detect_modality_hint",
     "emit_graph",

@@ -63,30 +63,6 @@ class ScoreLoweringMissingMetricalTime(MuseAnnoError):
 
 # --- model construction ---------------------------------------------------
 
-class NegativeTime(MuseAnnoError):
-    """A time value that must be non-negative was negative."""
-
-
-class InvalidMeasure(MuseAnnoError):
-    """Measure numbers are 1-based integers."""
-
-
-class InvalidBeat(MuseAnnoError):
-    """Beat positions are 1-based decimals."""
-
-
-class ModalityMismatch(MuseAnnoError):
-    """An observation's modality differs from its annotation's."""
-
-    def __init__(self, annotation_modality: str, observation_modality: str):
-        super().__init__(
-            f"cannot attach a {observation_modality} observation to a "
-            f"{annotation_modality} annotation"
-        )
-        self.annotation_modality = annotation_modality
-        self.observation_modality = observation_modality
-
-
 class IncommensurableUnits(MuseAnnoError):
     """The interval's duration unit matches none of its index components."""
 

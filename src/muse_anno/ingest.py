@@ -37,12 +37,14 @@ from .model import (
     MACHINE,
     CHORD_KIND,
     SEGMENT_KIND,
+    TIME_VALUE_RANGES,
     AnnotationModel,
     Annotator,
     Modality,
     MusicAnnotation,
     MusicObservation,
     MusicalObjectRef,
+    MusicTimeValueType,
     ObjectKind,
     ObservationValue,
     ValueKind,
@@ -534,17 +536,18 @@ def _short_hash(text: str) -> str:
 
 
 def _metrical_fields(row: JamsObservationRow, i: int, j: int,
-                     ) -> tuple[int, Decimal, Decimal]:
+                     ) -> tuple[Decimal, Decimal, Decimal]:
     path = f"annotations[{i}].data[{j}].sandbox"
     sandbox = row.sandbox
     for key in ("measure", "beat", "duration_beats"):
         if key not in sandbox:
             raise ScoreLoweringMissingMetricalTime(path, key)
-    measure = require_number(sandbox["measure"], f"{path}.measure", 1,
-                             integral=True)
-    beat = require_number(sandbox["beat"], f"{path}.beat", 1)
+    measure = require_number(sandbox["measure"], f"{path}.measure",
+                             *TIME_VALUE_RANGES[MusicTimeValueType.MEASURE.value])
+    beat = require_number(sandbox["beat"], f"{path}.beat",
+                          *TIME_VALUE_RANGES[MusicTimeValueType.BEAT.value])
     beats = require_number(sandbox["duration_beats"], f"{path}.duration_beats", 0)
-    return int(measure), beat, beats
+    return measure, beat, beats
 
 
 def _span(observations: list[MusicObservation], modality: Modality):

@@ -8,26 +8,21 @@ optional confidence.  Time intervals decompose into an index (one or more
 typed components) and a duration, which is what lets one structure carry
 both second-based and measure/beat-based positions.
 
-Dataclasses here are frozen but deliberately unvalidated: the factory
-functions (``make_audio_index``, ``make_score_index``, ...) enforce the
-constructive rules and raise typed errors, while ``validate.validate_model``
-re-checks everything declaratively.  Tests exploit this split to inject
-broken states that the factories would refuse to build.
+Dataclasses here are frozen and unvalidated, and the factory functions
+(``make_audio_index``, ``make_score_index``, ...) only build them:
+``validate.validate_model`` is the one checker of the pattern's rules, the
+time values' ranges in ``TIME_VALUE_RANGES`` included, and ``emit_graph``
+refuses a model it reports Errors for.  Tests exploit this to inject
+broken states the validator has to catch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 
-from .errors import (
-    IncommensurableUnits,
-    InvalidBeat,
-    InvalidMeasure,
-    ModalityMismatch,
-    NegativeTime,
-)
+from .errors import IncommensurableUnits
 from .iri import DEFAULT_BASE_IRI
 from .util import as_decimal
 
@@ -54,6 +49,16 @@ AUDIO_TIME_TYPES = frozenset(
     {MusicTimeValueType.SECONDS, MusicTimeValueType.MILLISECONDS,
      MusicTimeValueType.MINUTES}
 )
+
+# Each value type's least index value and whether its values are whole
+# (written as xsd:integer, so a fraction would be lost); every duration's
+# least value is 0.  Keyed by the enum value: looking a member up by itself
+# would hash it in Python code.
+TIME_VALUE_RANGES = {
+    **{audio.value: (0, False) for audio in AUDIO_TIME_TYPES},
+    MusicTimeValueType.MEASURE.value: (1, True),
+    MusicTimeValueType.BEAT.value: (1, False),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,38 +174,22 @@ class AnnotationModel:
 def make_audio_index(seconds: Decimal | int | str | float,
                      value_type: MusicTimeValueType = MusicTimeValueType.SECONDS,
                      ) -> MusicTimeIndex:
-    """Single-component index for signal time. Raises NegativeTime."""
-    if value_type not in AUDIO_TIME_TYPES:
-        raise ValueError(f"{value_type} is not an audio time type")
-    value = as_decimal(seconds)
-    if not value.is_finite() or value < 0:
-        raise NegativeTime(f"audio time must be finite and >= 0, got {seconds}")
-    return MusicTimeIndex((MusicTimeIndexComponent(value, value_type),))
+    """Single-component index for signal time."""
+    return MusicTimeIndex((MusicTimeIndexComponent(as_decimal(seconds),
+                                                   value_type),))
 
 
-def make_score_index(measure: int, beat: Decimal | int | str | float) -> MusicTimeIndex:
+def make_score_index(measure: Decimal | int | str | float,
+                     beat: Decimal | int | str | float) -> MusicTimeIndex:
     """Two-component metrical index: the measure, then the beat within it.
 
     Measures are 1-based integers, beats 1-based decimals (fractional
     positions like 2.5 are fine).
     """
-    if isinstance(measure, bool) or not isinstance(measure, int) or measure < 1:
-        raise InvalidMeasure(f"measure must be an integer >= 1, got {measure!r}")
-    beat_value = as_decimal(beat)
-    if not beat_value.is_finite() or beat_value < 1:
-        raise InvalidBeat(f"beat must be a decimal >= 1, got {beat!r}")
     return MusicTimeIndex((
-        MusicTimeIndexComponent(Decimal(measure), MusicTimeValueType.MEASURE),
-        MusicTimeIndexComponent(beat_value, MusicTimeValueType.BEAT),
+        MusicTimeIndexComponent(as_decimal(measure), MusicTimeValueType.MEASURE),
+        MusicTimeIndexComponent(as_decimal(beat), MusicTimeValueType.BEAT),
     ))
-
-
-def _non_negative_duration(value: Decimal | int | str | float,
-                           value_type: MusicTimeValueType) -> MusicTimeDuration:
-    dec = as_decimal(value)
-    if not dec.is_finite() or dec < 0:
-        raise NegativeTime(f"duration must be finite and >= 0, got {value}")
-    return MusicTimeDuration(dec, value_type)
 
 
 def audio_interval(start: Decimal | int | str | float,
@@ -209,27 +198,21 @@ def audio_interval(start: Decimal | int | str | float,
                    ) -> MusicTimeInterval:
     return MusicTimeInterval(
         index=make_audio_index(start, value_type),
-        duration=_non_negative_duration(duration, value_type),
+        duration=MusicTimeDuration(as_decimal(duration), value_type),
     )
 
 
-def score_interval(measure: int, beat: Decimal | int | str | float,
+def score_interval(measure: Decimal | int | str | float,
+                   beat: Decimal | int | str | float,
                    duration_beats: Decimal | int | str | float) -> MusicTimeInterval:
     return MusicTimeInterval(
         index=make_score_index(measure, beat),
-        duration=_non_negative_duration(duration_beats, MusicTimeValueType.BEAT),
+        duration=MusicTimeDuration(as_decimal(duration_beats),
+                                   MusicTimeValueType.BEAT),
     )
 
 
 # --- operations --------------------------------------------------------------
-
-def attach_observation(annotation: MusicAnnotation,
-                       obs: MusicObservation) -> MusicAnnotation:
-    """Append an observation, enforcing the modality compatibility rule."""
-    if obs.modality is not annotation.modality:
-        raise ModalityMismatch(annotation.modality.value, obs.modality.value)
-    return replace(annotation, observations=annotation.observations + (obs,))
-
 
 def interval_end(interval: MusicTimeInterval) -> tuple[Decimal, MusicTimeValueType]:
     """Start plus duration, in the duration's unit.

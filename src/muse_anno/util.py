@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DefaultContext, InvalidOperation
 
 from .errors import TypeMismatch
 
@@ -48,12 +48,17 @@ def int_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+# The largest adjusted exponent a number may have: with it, the sums and
+# the minutes-to-seconds products taken of time values stay below the
+# default Decimal context's Emax (999999) instead of raising Overflow.
+MAX_EXPONENT = DefaultContext.Emax - 3
+
+
 def require_number(value: object, path: str, minimum: int | None = None,
                    integral: bool = False) -> Decimal:
-    """Narrow a parsed JSON value to a finite Decimal of at least
-    ``minimum``, or raise TypeMismatch.  An ``integral`` number must also
-    be whole, with no more digits than ``integer_lexical`` can write, and
-    each of its failures names its whole range (``positive integer``)."""
+    """Narrow a parsed JSON value to a finite Decimal that ``in_range``
+    accepts, or raise TypeMismatch.  Each failure of an ``integral`` number
+    names its whole range (``positive integer``)."""
     dec = value
     if isinstance(value, int) and not isinstance(value, bool):
         dec = Decimal(value)
@@ -61,26 +66,36 @@ def require_number(value: object, path: str, minimum: int | None = None,
         expected = "number"
     elif not dec.is_finite():
         expected = "finite number"
-    elif (minimum is not None and dec < minimum
-          or integral and not _writable_integer(dec)):
+    elif in_range(dec, minimum, integral):
+        return dec
+    elif minimum is not None and dec < minimum:
         expected = _range(minimum, integral)
     else:
-        return dec
+        expected = f"number of magnitude below 1E+{MAX_EXPONENT + 1}"
     raise TypeMismatch(path, _range(minimum, integral) if integral else expected,
                        value)
+
+
+def in_range(dec: Decimal, minimum: int | None = None,
+             integral: bool = False) -> bool:
+    """Whether finite ``dec`` is at least ``minimum`` and has no adjusted
+    exponent above MAX_EXPONENT; an ``integral`` one must also be whole,
+    with no more digits than ``integer_lexical`` can write."""
+    if minimum is not None and dec < minimum:
+        return False
+    magnitude = dec.adjusted() if dec else 0  # zero, even 0E+1000000
+    if not integral:
+        return magnitude <= MAX_EXPONENT
+    # Decimal operations only: int() of 1e1000000 alone runs for minutes.
+    limit = int_digit_limit()
+    return (magnitude <= MAX_EXPONENT and not (limit and magnitude >= limit)
+            and dec == dec.to_integral_value())
 
 
 def _range(minimum: int, integral: bool) -> str:
     if integral:
         return "positive integer" if minimum == 1 else f"integer >= {minimum}"
     return "non-negative number" if minimum == 0 else f"number >= {minimum}"
-
-
-def _writable_integer(dec: Decimal) -> bool:
-    # Decimal operations only: int() of 1e1000000 alone runs for minutes.
-    limit = int_digit_limit()
-    return (dec == dec.to_integral_value()
-            and not (limit and dec and dec.adjusted() >= limit))
 
 
 def canonical_json(value: object) -> str:

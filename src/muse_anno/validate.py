@@ -5,7 +5,10 @@ index and component cardinalities, the modality compatibility between an
 annotation and its observations, the single-component shape of audio
 indices and the (Measure, Beat) shape of score indices, annotator and
 annotator-type cardinality, disjointness of entity identifiers, and the
-confidence range.  W-codes are advisory: they flag states the pattern
+ranges of time values and confidences.  This is the one place a model's
+time values are checked: the model factories only build, and JAMS
+ingestion checks the same ranges (``util.in_range``) only to name a bad
+number's JSON path.  W-codes are advisory: they flag states the pattern
 tolerates but that usually indicate sloppy input.
 
 Checks are hierarchical so that a fixture breaking exactly one rule earns
@@ -29,6 +32,7 @@ from .errors import UnknownCode
 from .iri import component_iri, duration_iri, index_iri, interval_iri
 from .model import (
     AUDIO_TIME_TYPES,
+    TIME_VALUE_RANGES,
     AnnotationModel,
     Annotator,
     AnnotatorType,
@@ -36,6 +40,7 @@ from .model import (
     MusicTimeInterval,
     MusicTimeValueType,
 )
+from .util import in_range
 
 
 class Severity(Enum):
@@ -78,22 +83,24 @@ _RULES = [
          "hasMusicTimeIndexComponent min 1 MusicTimeIndexComponent",
          "Use make_audio_index or make_score_index to populate the components."),
     Rule("V3", Severity.ERROR,
-         "A music time index component carries exactly one value and exactly "
-         "one value type.",
+         "A music time index component or duration carries exactly one value "
+         "and exactly one value type, and the value is in the type's range.",
          "hasTimeValue exactly 1 rdfs:Literal; "
          "hasMusicTimeValueType exactly 1 MusicTimeValueType",
-         "Give every component and duration a finite decimal value and a value type."),
+         "Give every component and duration a value type and a finite decimal "
+         "value: Measure values whole; a Measure or Beat component from 1, "
+         "any other component or duration from 0."),
     Rule("V4", Severity.ERROR,
          "An annotation only contains observations of its own modality.",
          "a ScoreMusicAnnotation contains ScoreMusicObservations, otherwise "
          "it contains AudioMusicObservations",
-         "Attach observations via attach_observation, which enforces the rule."),
+         "Give every observation its annotation's modality."),
     Rule("V5", Severity.ERROR,
          "An audio index is expressed by a single MusicTimeIndexComponent "
          "whose value type is Seconds, Milliseconds or Minutes.",
          "AudioMusicAnnotation/AudioMusicObservation start time: exactly one "
          "component with a signal-time value type",
-         "Use make_audio_index for audio entities."),
+         "Give audio indices one Seconds, Milliseconds or Minutes component."),
     Rule("V6", Severity.ERROR,
          "A score index needs two MusicTimeIndexComponents: a Measure followed "
          "by a Beat.",
@@ -236,16 +243,13 @@ def _check_interval(owner_id: str, interval: object, modality: Modality,
 
     malformed = False
     for position, component in enumerate(index.components):
-        if not _is_finite_decimal(component.value) or \
-                not isinstance(component.value_type, MusicTimeValueType):
-            report("V3", component_iri(owner_id, position),
-                   "component needs exactly one finite value and one value type")
+        fault = _time_value_fault(component, "component")
+        if fault:
+            report("V3", component_iri(owner_id, position), fault)
             malformed = True
-    if duration is not None and (
-            not _is_finite_decimal(duration.value)
-            or not isinstance(duration.value_type, MusicTimeValueType)):
-        report("V3", duration_iri(owner_id),
-               "duration needs exactly one finite value and one value type")
+    fault = duration is not None and _time_value_fault(duration, "duration")
+    if fault:
+        report("V3", duration_iri(owner_id), fault)
         malformed = True
     if malformed:
         return None
@@ -267,10 +271,25 @@ def _check_interval(owner_id: str, interval: object, modality: Modality,
     return None if start is None or length is None else start + length
 
 
+def _time_value_fault(part, role: str) -> str | None:
+    """Why a component or duration breaks V3, or None: it needs a finite
+    decimal value and a value type, and the value in the type's range,
+    where a duration's least value is 0."""
+    value, value_type = part.value, part.value_type
+    if not (isinstance(value, Decimal) and value.is_finite()
+            and isinstance(value_type, MusicTimeValueType)):
+        return f"{role} needs exactly one finite value and one value type"
+    minimum, integral = TIME_VALUE_RANGES[value_type._value_]
+    if not in_range(value, 0 if role == "duration" else minimum, integral):
+        return f"{value_type.value} {role} value {value} is out of range"
+    return None
+
+
 def _check_confidence(obs_id: str, confidence: Decimal | None, report) -> None:
     if confidence is None:
         return
-    if not _is_finite_decimal(confidence) or not (0 <= confidence <= 1):
+    if not (isinstance(confidence, Decimal) and confidence.is_finite()
+            and 0 <= confidence <= 1):
         report("V10", obs_id, f"confidence {confidence} outside [0, 1]")
 
 
@@ -285,7 +304,3 @@ def _in_seconds(value: Decimal, value_type: MusicTimeValueType) -> Decimal | Non
         return value / 1000
     factor = _SECONDS_PER.get(value_type)
     return None if factor is None else value * factor
-
-
-def _is_finite_decimal(value: object) -> bool:
-    return isinstance(value, Decimal) and value.is_finite()

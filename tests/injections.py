@@ -1,8 +1,7 @@
 """Minimal models that each break exactly one validation rule.
 
-The model dataclasses are deliberately unvalidated, so these fixtures can
-assemble states the factory functions would refuse; the validator has to
-catch them declaratively.
+The model dataclasses and factories are unvalidated, so these fixtures can
+assemble any broken state; the validator has to catch them declaratively.
 """
 
 from __future__ import annotations

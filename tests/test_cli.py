@@ -184,12 +184,17 @@ def test_validate_errors_exit_one(tmp_path, capsys_run):
     assert codes == ["V10"]
 
 
-def _score_file(tmp_path, key: str, number: str):
-    sandbox = {"measure": "1", "beat": "1", "duration_beats": "1", key: number}
+def _one_row_file(tmp_path, key: str, number: str):
+    """A one-row file with ``number`` at its ``time`` or ``duration``, or
+    else at sandbox key ``key``."""
+    row = {"time": "0.0", "duration": "0.0"}
+    sandbox = {"measure": "1", "beat": "1", "duration_beats": "1"}
+    (row if key in row else sandbox)[key] = number
     path = tmp_path / "score.jams"
     path.write_text(
-        '{"annotations":[{"namespace":"chord","data":[{"time":0.0,'
-        '"duration":0.0,"value":"C","sandbox":{'
+        '{"annotations":[{"namespace":"chord","data":[{'
+        + "".join(f'"{k}":{v},' for k, v in row.items())
+        + '"value":"C","sandbox":{'
         + ",".join(f'"{k}":{v}' for k, v in sandbox.items())
         + '}}]}],"file_metadata":{"title":"x"},"sandbox":{}}')
     return path
@@ -208,7 +213,7 @@ def _run_isolated(*argv: str) -> tuple[int, str, str]:
 def test_validate_locates_a_metrical_value_out_of_range(tmp_path, capsys_run,
                                                         key, number):
     argv = ("validate", "--modality", "score",
-            str(_score_file(tmp_path, key, number)))
+            str(_one_row_file(tmp_path, key, number)))
     # int() of 1e1000000 alone runs for minutes.
     run = _run_isolated if number == "1e1000000" else capsys_run
     code, out, err = run(*argv)
@@ -220,7 +225,7 @@ def test_validate_locates_a_metrical_value_out_of_range(tmp_path, capsys_run,
 
 
 def test_convert_locates_a_measure_too_long_to_write(tmp_path):
-    source = _score_file(tmp_path, "measure", "1e5000")
+    source = _one_row_file(tmp_path, "measure", "1e5000")
     code, out, err = _run_isolated("convert", "--modality", "score",
                                    str(source), "-o", str(tmp_path / "out"))
     assert code == 1
@@ -230,6 +235,31 @@ def test_convert_locates_a_measure_too_long_to_write(tmp_path):
     assert diagnostic["message"].startswith(
         "expected positive integer at annotations[0].data[0].sandbox.measure,")
     assert not list((tmp_path / "out").glob("*.ttl"))
+
+
+# Past the default Decimal context's Emax, so a sum of it overflows.  stats
+# reads no sandbox, so it summarizes the rows with a large sandbox key.
+@pytest.mark.parametrize("command", ["validate", "convert", "stats"])
+@pytest.mark.parametrize("key", ["time", "duration", "beat", "duration_beats"])
+def test_a_number_too_large_to_add_is_located(tmp_path, capsys_run, command,
+                                              key):
+    in_sandbox = key not in ("time", "duration")
+    argv = [command, str(_one_row_file(tmp_path, key, "1e1000000"))]
+    if command != "stats":
+        argv += ["--modality", "score" if in_sandbox else "audio"]
+    if command == "convert":
+        argv += ["-o", str(tmp_path / "out")]
+    code, out, err = capsys_run(*argv)
+    if command == "stats" and in_sandbox:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["observations"] == 1
+        return
+    assert code == 1
+    [diagnostic] = [json.loads(line) for line in err.splitlines()]
+    assert diagnostic["error"] == "TypeMismatch"
+    path = f"sandbox.{key}" if in_sandbox else key
+    assert f" at annotations[0].data[0].{path}, " in diagnostic["message"]
+    assert command == "stats" or out == ""
 
 
 @pytest.mark.parametrize("payload", [b"[" * 100_000,

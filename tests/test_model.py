@@ -1,34 +1,39 @@
-"""Model factories, operations, and structural properties."""
+"""Model factories, operations, and structural properties, and the
+validator as the one checker of time values."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muse_anno import (
-    CHORD_KIND,
     Modality,
-    MusicObservation,
+    MusicTimeDuration,
+    MusicTimeIndex,
+    MusicTimeIndexComponent,
+    MusicTimeInterval,
     MusicTimeValueType,
-    ObservationValue,
-    attach_observation,
+    Severity,
     audio_interval,
+    emit_graph,
     interval_end,
     make_audio_index,
     make_score_index,
     oracle_cq,
     score_interval,
+    validate_model,
+    vocab,
 )
-from muse_anno.errors import (
-    IncommensurableUnits,
-    InvalidBeat,
-    InvalidMeasure,
-    ModalityMismatch,
-    NegativeTime,
-)
+from muse_anno.errors import IncommensurableUnits, UnvalidatedModel
+from muse_anno.iri import component_iri, duration_iri
+from muse_anno.model import AUDIO_TIME_TYPES
+from muse_anno.util import MAX_EXPONENT
 
+from injections import valid_model
 from strategies import any_models
 
 
@@ -43,11 +48,6 @@ def test_make_audio_index_single_seconds_component():
 def test_make_audio_index_zero():
     index = make_audio_index(Decimal("0.0"))
     assert str(index.components[0].value) == "0.0"
-
-
-def test_make_audio_index_negative_raises():
-    with pytest.raises(NegativeTime):
-        make_audio_index(Decimal("-1.0"))
 
 
 def test_make_score_index_orders_measure_then_beat():
@@ -65,43 +65,48 @@ def test_make_score_index_readback():
     assert beat.value_type is MusicTimeValueType.BEAT
 
 
-def test_make_score_index_rejects_bad_metrics():
-    with pytest.raises(InvalidMeasure):
-        make_score_index(0, 1)
-    with pytest.raises(InvalidMeasure):
-        make_score_index(2.5, 1)  # type: ignore[arg-type]
-    with pytest.raises(InvalidBeat):
-        make_score_index(1, Decimal("0.5"))
+def test_factories_build_out_of_range_values_as_given():
+    index = make_score_index(Decimal("1.5"), Decimal("0.5"))
+    assert [str(c.value) for c in index.components] == ["1.5", "0.5"]
+    interval = audio_interval("-5", "-1", MusicTimeValueType.BEAT)
+    assert str(interval.index.components[0].value) == "-5"
+    assert interval.duration == MusicTimeDuration(Decimal(-1),
+                                                  MusicTimeValueType.BEAT)
 
 
-def _observation(obs_id: str, modality: Modality) -> MusicObservation:
-    interval = audio_interval("0.0", "1.0") if modality is Modality.AUDIO \
-        else score_interval(1, 1, 1)
-    return MusicObservation(
-        id=obs_id,
-        modality=modality,
-        interval=interval,
-        value=ObservationValue(obs_id + "/value", CHORD_KIND, "C"),
-    )
+def _with_interval(modality: Modality, interval: MusicTimeInterval):
+    """The valid model of ``modality`` with its observation on ``interval``."""
+    model = valid_model(modality)
+    annotation = model.annotations[0]
+    obs = replace(annotation.observations[0], interval=interval)
+    return replace(model, annotations=(replace(annotation, observations=(obs,)),))
 
 
-def test_attach_observation_appends_in_order(bohemian_model):
-    annotation = bohemian_model.annotations[0]
-    extra = _observation("http://example.org/observation/extra", Modality.AUDIO)
-    updated = attach_observation(annotation, extra)
-    assert len(updated.observations) == len(annotation.observations) + 1
-    assert updated.observations[-1] is extra
-    # The original annotation is untouched.
-    assert len(annotation.observations) == 3
+_OUT_OF_RANGE = {
+    "Measure 1.5": (Modality.SCORE, score_interval("1.5", 1, 2), 0),
+    "Measure -3": (Modality.SCORE, score_interval(-3, 1, 2), 0),
+    "Measure 0": (Modality.SCORE, score_interval(0, 1, 2), 0),
+    "Measure of 5000 digits": (
+        Modality.SCORE, score_interval("9" * 5000, 1, 2), 0),
+    "Beat 0.5": (Modality.SCORE, score_interval(1, "0.5", 2), 1),
+    "duration -2 beats": (Modality.SCORE, score_interval(1, 1, -2), None),
+    "audio start -5 s": (Modality.AUDIO, audio_interval(-5, 1), 0),
+    "audio duration -1 s": (Modality.AUDIO, audio_interval(0, -1), None),
+}
 
 
-def test_attach_observation_rejects_modality_mismatch(bohemian_model):
-    annotation = bohemian_model.annotations[0]
-    foreign = _observation("http://example.org/observation/score", Modality.SCORE)
-    with pytest.raises(ModalityMismatch) as excinfo:
-        attach_observation(annotation, foreign)
-    message = str(excinfo.value)
-    assert "audio" in message and "score" in message
+@pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE))
+def test_validator_reports_a_time_value_out_of_range(name):
+    modality, interval, position = _OUT_OF_RANGE[name]
+    model = _with_interval(modality, interval)
+    obs_id = model.annotations[0].observations[0].id
+    subject = duration_iri(obs_id) if position is None \
+        else component_iri(obs_id, position)
+    [violation] = validate_model(model)
+    assert (violation.code, violation.subject) == ("V3", subject)
+    assert violation.message.endswith(" is out of range")
+    with pytest.raises(UnvalidatedModel):
+        emit_graph(model)
 
 
 def test_interval_end_fixture_case():
@@ -158,3 +163,52 @@ def test_interval_shapes_by_modality(model):
             else:
                 assert [c.value_type for c in components] == \
                     [MusicTimeValueType.MEASURE, MusicTimeValueType.BEAT]
+
+
+# Values at the edges of every range: negatives, fractions, zeros and
+# exponents on both sides of the digit limit and of MAX_EXPONENT.
+_time_values = st.one_of(
+    st.integers(min_value=-3, max_value=5).map(Decimal),
+    st.sampled_from(["0.5", "1.5", "-0.0", "0E+1000000", "2.50", "-1E-3"]
+                    ).map(Decimal),
+    st.builds(lambda digit, exponent: Decimal(f"{digit}E{exponent}"),
+              st.integers(min_value=-9, max_value=9),
+              st.sampled_from([-10**6, -40, 1, 40, 4299, 4300, 5000,
+                               MAX_EXPONENT, MAX_EXPONENT + 1, 10**6])),
+)
+
+
+@st.composite
+def _hand_built_models(draw):
+    value_type = draw(st.sampled_from(MusicTimeValueType))
+    if value_type in AUDIO_TIME_TYPES:
+        modality = Modality.AUDIO
+        components = (MusicTimeIndexComponent(draw(_time_values), value_type),)
+    else:
+        modality = Modality.SCORE
+        components = (
+            MusicTimeIndexComponent(draw(_time_values), MusicTimeValueType.MEASURE),
+            MusicTimeIndexComponent(draw(_time_values), MusicTimeValueType.BEAT))
+    duration = MusicTimeDuration(draw(_time_values),
+                                 draw(st.sampled_from(MusicTimeValueType)))
+    model = _with_interval(modality, MusicTimeInterval(MusicTimeIndex(components),
+                                                       duration))
+    # A file duration makes the validator compute each signal-time end.
+    return replace(model, file_duration=Decimal(10))
+
+
+@given(_hand_built_models())
+@settings(max_examples=300, deadline=None)
+def test_a_model_that_validates_emits_exactly_its_time_values(model):
+    if any(v.severity is Severity.ERROR for v in validate_model(model)):
+        with pytest.raises(UnvalidatedModel):
+            emit_graph(model)
+        return
+    graph = emit_graph(model)
+    obs = model.annotations[0].observations[0]
+    parts = {component_iri(obs.id, position): component
+             for position, component in enumerate(obs.interval.index.components)}
+    parts[duration_iri(obs.id)] = obs.interval.duration
+    for iri, part in parts.items():
+        literal = graph.value(iri, vocab.HAS_TIME_VALUE)
+        assert Decimal(literal.lexical) == part.value

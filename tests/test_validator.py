@@ -22,12 +22,14 @@ from muse_anno import (
     Severity,
     Violation,
     explain,
+    score_interval,
     validate_model,
     vocab,
 )
 from muse_anno.errors import UnknownCode
 from muse_anno.iri import component_iri, duration_iri, index_iri, interval_iri
 from muse_anno.model import AUDIO_TIME_TYPES
+from muse_anno.util import int_digit_limit
 from muse_anno.validate import _RANK, RULES
 
 from injections import BROKEN_MODELS, EX, valid_model
@@ -240,11 +242,21 @@ def _oracle_interval(owner_id, interval, modality, report):
             report("V3", component_iri(owner_id, position),
                    "component needs exactly one finite value and one value type")
             malformed = True
+        elif _oracle_out_of_range(component, "component"):
+            report("V3", component_iri(owner_id, position),
+                   f"{component.value_type.value} component value "
+                   f"{component.value} is out of range")
+            malformed = True
     if duration is not None and (
             not _finite(duration.value)
             or not isinstance(duration.value_type, MusicTimeValueType)):
         report("V3", duration_iri(owner_id),
                "duration needs exactly one finite value and one value type")
+        malformed = True
+    elif duration is not None and _oracle_out_of_range(duration, "duration"):
+        report("V3", duration_iri(owner_id),
+               f"{duration.value_type.value} duration value {duration.value} "
+               "is out of range")
         malformed = True
     if malformed:
         return
@@ -256,6 +268,24 @@ def _oracle_interval(owner_id, interval, modality, report):
                    "component")
     elif types != [MusicTimeValueType.MEASURE, MusicTimeValueType.BEAT]:
         report("V6", index_iri(owner_id), "score index must be (Measure, Beat)")
+
+
+def _oracle_out_of_range(part, role):
+    """A Measure or Beat component below 1, any other part below 0, a
+    nonzero value of 1E+999997 or more, or a Measure that is fractional or
+    has more digits than ``str(int)`` writes."""
+    value, value_type = part.value, part.value_type
+    metrical = value_type in (MusicTimeValueType.MEASURE, MusicTimeValueType.BEAT)
+    if value < (1 if metrical and role == "component" else 0):
+        return True
+    if value == 0:
+        return False
+    if value.adjusted() >= 999997:
+        return True
+    limit = int_digit_limit()
+    return value_type is MusicTimeValueType.MEASURE and (
+        value != value.to_integral_value()
+        or limit and value.adjusted() + 1 > limit)
 
 
 def _oracle_seconds(value, value_type):
@@ -274,7 +304,9 @@ def _oracle_file_duration(obs, file_duration, report):
         return
     component = index.components[0]
     if not _finite(component.value) or \
-            not _finite(getattr(duration, "value", None)):
+            not _finite(getattr(duration, "value", None)) or \
+            _oracle_out_of_range(component, "component") or \
+            _oracle_out_of_range(duration, "duration"):
         return
     start = _oracle_seconds(component.value, component.value_type)
     length = _oracle_seconds(duration.value, duration.value_type)
@@ -362,6 +394,18 @@ _ORACLE_EDGES = {
         _unit_interval("1000", "1000", MusicTimeValueType.MILLISECONDS)), []),
     "ids shared across annotator, annotator type and interval": (
         _shared_across_annotator_type_and_interval, ["V9", "V9"]),
+    "a fractional Measure": (lambda: _with_interval(
+        valid_model(Modality.SCORE), score_interval("1.5", 1, 2)), ["V3"]),
+    "a negative duration past the end": (lambda: _with_interval(
+        replace(valid_model(), file_duration=Decimal("2")),
+        _unit_interval("3", "-1", MusicTimeValueType.MINUTES)), ["V3"]),
+    "minutes at the largest exponent": (lambda: _with_interval(
+        replace(valid_model(), file_duration=Decimal("2")),
+        _unit_interval("9.9E+999996", "9.9E+999996",
+                       MusicTimeValueType.MINUTES)), ["W1"]),
+    "seconds past the largest exponent": (lambda: _with_interval(
+        valid_model(), _unit_interval("1E+999997", "1",
+                                      MusicTimeValueType.SECONDS)), ["V3"]),
     **{f"broken {code}": (make, [code]) for code, make in BROKEN_MODELS.items()},
 }
 
