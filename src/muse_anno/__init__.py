@@ -21,7 +21,7 @@ from .ingest import (
     parse_jams,
     resolve_annotator,
 )
-from .iri import IriMinter, mint_iri
+from .iri import IriMinter
 from .model import (
     CROWDSOURCING,
     HUMAN,
@@ -106,7 +106,6 @@ __all__ = [
     "lower_to_model",
     "make_audio_index",
     "make_score_index",
-    "mint_iri",
     "oracle_cq",
     "parse_jams",
     "parse_turtle",

@@ -255,6 +255,8 @@ def cmd_query(args) -> int:
 
     def tail(path: Path, doc: JamsDocument) -> int:
         model, violations = _lower(args, path, doc)
+        if _report(args, path, violations, sys.stderr):
+            return 1
         result = answer_cq(args.cq, emit_graph(model, violations), args.subject)
         sys.stdout.write(result.to_tsv())
         return 0

@@ -299,5 +299,6 @@ _QUESTIONS = {
         lambda graph, roots: [
             (ann, obj) for ann in roots
             for obj in graph.subjects(vocab.HAS_MUSIC_ANNOTATION, ann)],
-        lambda model, roots: [(ann.id, ann.subject) for ann in roots]),
+        lambda model, roots: [(ann.id, model.subject.id) for ann in roots
+                              if model.subject is not None]),
 }

@@ -446,16 +446,15 @@ def lower_to_model(doc: JamsDocument, opts: LoweringOptions) -> AnnotationModel:
     return AnnotationModel(
         subject=subject,
         annotations=tuple(
-            _lower_block(block, i, subject, object_disc, opts, minter)
+            _lower_block(block, i, object_disc, opts, minter)
             for i, block in enumerate(doc.annotations)),
         base_iri=opts.base_iri,
         file_duration=doc.file_metadata.duration,
     )
 
 
-def _lower_block(block: JamsAnnotationBlock, i: int, subject: MusicalObjectRef,
-                 object_disc: str, opts: LoweringOptions,
-                 minter: IriMinter) -> MusicAnnotation:
+def _lower_block(block: JamsAnnotationBlock, i: int, object_disc: str,
+                 opts: LoweringOptions, minter: IriMinter) -> MusicAnnotation:
     value_kind = NAMESPACE_KINDS.get(block.namespace)
     if value_kind is None:
         if opts.strict_namespaces:
@@ -493,11 +492,9 @@ def _lower_block(block: JamsAnnotationBlock, i: int, subject: MusicalObjectRef,
     return MusicAnnotation(
         id=annotation_id,
         modality=opts.modality,
-        subject=subject.id,
         annotator=annotator,
         interval=_span(observations, opts.modality),
         observations=tuple(observations),
-        value_kind=value_kind,
     )
 
 

@@ -51,27 +51,6 @@ def base_root(base: str) -> str:
     return base if base.endswith(("/", "#")) else base + "/"
 
 
-def _root(base: str) -> str:
-    if not is_absolute_iri(base):
-        raise InvalidBase(base)
-    return base_root(base)
-
-
-def _join(root: str, entity_role: str, discriminators: list[str]) -> str:
-    if not discriminators:
-        raise ValueError("discriminators must be non-empty")
-    return root + slug(entity_role) + "/" + "/".join(map(slug, discriminators))
-
-
-def mint_iri(base: str, entity_role: str, discriminators: list[str]) -> str:
-    """Deterministic IRI: base + slug(role) + '/' + slugged discriminators.
-
-    Same inputs always give the same IRI.  Collision handling between
-    *distinct* entities whose slugs coincide is the job of IriMinter.
-    """
-    return _join(_root(base), entity_role, discriminators)
-
-
 class IriMinter:
     """Mints IRIs for one model build, resolving slug collisions by ordinal.
 
@@ -82,7 +61,9 @@ class IriMinter:
     """
 
     def __init__(self, base: str):
-        self._root = _root(base)
+        if not is_absolute_iri(base):
+            raise InvalidBase(base)
+        self._root = base_root(base)
         self._by_key: dict[object, str] = {}
         self._used: set[str] = set()
 
@@ -92,7 +73,10 @@ class IriMinter:
         existing = self._by_key.get(identity)
         if existing is not None:
             return existing
-        iri = _join(self._root, entity_role, discriminators)
+        if not discriminators:
+            raise ValueError("discriminators must be non-empty")
+        iri = (self._root + slug(entity_role) + "/"
+               + "/".join(map(slug, discriminators)))
         candidate = iri
         ordinal = 2
         while candidate in self._used:

@@ -8,6 +8,11 @@ optional confidence.  Time intervals decompose into an index (one or more
 typed components) and a duration, which is what lets one structure carry
 both second-based and measure/beat-based positions.
 
+Each fact is stated once.  The musical object an annotation belongs to is
+the model's one ``subject``, not a field of the annotation, and the kind
+of an annotation's values is each value's own ``kind``.  ``vocab`` derives
+its time value and annotator type tables from the types here.
+
 Dataclasses here are frozen and unvalidated, and the factory functions
 (``make_audio_index``, ``make_score_index``, ...) only build them:
 ``validate.validate_model`` is the one checker of the pattern's rules, the
@@ -140,11 +145,9 @@ class MusicObservation:
 class MusicAnnotation:
     id: str
     modality: Modality
-    subject: str
     annotator: Annotator
     interval: MusicTimeInterval
     observations: tuple[MusicObservation, ...]
-    value_kind: ValueKind
 
 
 @dataclass(frozen=True, slots=True)

@@ -204,6 +204,8 @@ def emit_graph(model: AnnotationModel,
 
     values_seen: dict[str, ObservationValue] = {}
     for annotation in model.annotations:
+        if subject is not None:
+            graph.add(subject.id, vocab.HAS_MUSIC_ANNOTATION, annotation.id)
         _emit_annotation(graph, annotation, model.base_iri, values_seen)
     return graph
 
@@ -212,7 +214,6 @@ def _emit_annotation(graph: RdfGraph, annotation: MusicAnnotation,
                      base_iri: str,
                      values_seen: dict[str, ObservationValue]) -> None:
     add, describe = graph.add, graph._describe
-    add(annotation.subject, vocab.HAS_MUSIC_ANNOTATION, annotation.id)
     annotator = annotation.annotator
     interval = _emit_interval(graph, annotation.id, annotation.interval)
     describe(annotation.id, {

@@ -11,6 +11,7 @@ Display names (object titles, value labels, annotator names) ride on
 
 from __future__ import annotations
 
+from . import model
 from .iri import DEFAULT_BASE_IRI, base_root, slug
 from .model import (
     AnnotatorType,
@@ -49,17 +50,16 @@ MUSIC_OBSERVATION_VALUE = MAP + "MusicObservationValue"
 CHORD = MAP + "Chord"
 SEGMENT = MAP + "Segment"
 
-# Individuals: time value types.
-SECONDS = MAP + "Seconds"
-MILLISECONDS = MAP + "Milliseconds"
-MINUTES = MAP + "Minutes"
-MEASURE = MAP + "Measure"
-BEAT = MAP + "Beat"
-
-# Individuals: annotator types.
-HUMAN = MAP + "Human"
-MACHINE = MAP + "Machine"
-CROWDSOURCING = MAP + "Crowdsourcing"
+# Individuals: the time value types and the builtin annotator types, each
+# its model name in the pattern namespace.
+SECONDS = MAP + MusicTimeValueType.SECONDS.value
+MILLISECONDS = MAP + MusicTimeValueType.MILLISECONDS.value
+MINUTES = MAP + MusicTimeValueType.MINUTES.value
+MEASURE = MAP + MusicTimeValueType.MEASURE.value
+BEAT = MAP + MusicTimeValueType.BEAT.value
+HUMAN = MAP + model.HUMAN.name
+MACHINE = MAP + model.MACHINE.name
+CROWDSOURCING = MAP + model.CROWDSOURCING.name
 
 # Properties.
 HAS_MUSIC_ANNOTATION = MAP + "hasMusicAnnotation"
@@ -96,20 +96,20 @@ DEFAULT_PREFIXES = {
 # appear in RDF.  Both the emitter and the model-side query oracle use them,
 # so the two paths cannot drift apart silently.
 
-# Datatype and value-type IRI of each time value type, keyed by the enum
-# value: looking a member up by itself would hash it in Python code.
+# The two tables below are derived from the model, which states each fact
+# once.  Datatype and value-type IRI of each time value type: a whole-valued
+# type (model.TIME_VALUE_RANGES) is written as xsd:integer, any other as
+# xsd:decimal.  Keyed by the enum value: looking a member up by itself would
+# hash it in Python code.
 _TIME_TERMS = {
-    MusicTimeValueType.SECONDS.value: (XSD_DECIMAL, SECONDS),
-    MusicTimeValueType.MILLISECONDS.value: (XSD_DECIMAL, MILLISECONDS),
-    MusicTimeValueType.MINUTES.value: (XSD_DECIMAL, MINUTES),
-    MusicTimeValueType.MEASURE.value: (XSD_INTEGER, MEASURE),
-    MusicTimeValueType.BEAT.value: (XSD_DECIMAL, BEAT),
+    value: (XSD_INTEGER if whole else XSD_DECIMAL, MAP + value)
+    for value, (_, whole) in model.TIME_VALUE_RANGES.items()
 }
 
+# Each builtin annotator type's name to its vocabulary individual.
 _BUILTIN_ANNOTATOR_TYPES = {
-    "Human": HUMAN,
-    "Machine": MACHINE,
-    "Crowdsourcing": CROWDSOURCING,
+    atype.name: MAP + atype.name
+    for atype in (model.HUMAN, model.MACHINE, model.CROWDSOURCING)
 }
 
 

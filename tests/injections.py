@@ -45,11 +45,9 @@ def valid_model(modality: Modality = Modality.AUDIO) -> AnnotationModel:
     annotation = MusicAnnotation(
         id=EX + "annotation/t/0",
         modality=modality,
-        subject=EX + "track/t",
         annotator=Annotator(EX + "annotator/a", "A. Tester", HUMAN),
         interval=audio_interval("1.0", "2.0") if audio else score_interval(1, 1, 2),
         observations=(obs,),
-        value_kind=CHORD_KIND,
     )
     subject = MusicalObjectRef(
         id=EX + "track/t",

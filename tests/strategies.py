@@ -100,11 +100,9 @@ def annotation_models(draw, modality: Modality | None = None,
         annotations.append(MusicAnnotation(
             id=minter.mint("annotation", [str(i)], key=("annotation", i)),
             modality=modality,
-            subject=subject.id,
             annotator=annotator,
             interval=interval,
             observations=tuple(observations),
-            value_kind=value_kind,
         ))
 
     return AnnotationModel(subject=subject, annotations=tuple(annotations),

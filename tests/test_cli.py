@@ -184,6 +184,24 @@ def test_validate_errors_exit_one(tmp_path, capsys_run):
     assert codes == ["V10"]
 
 
+def test_query_reports_the_violations_of_an_invalid_file(tmp_path, capsys_run):
+    bad_confidence = tmp_path / "bad_confidence.jams"
+    bad_confidence.write_text(
+        '{"annotations":[{"namespace":"chord","data":'
+        '[{"time":0.0,"duration":1.0,"value":"C","confidence":2}]}],'
+        '"file_metadata":{"title":"x","duration":10.0},"sandbox":{}}')
+    code, out, err = capsys_run("query", str(bad_confidence),
+                                "--modality", "audio", "--cq", "1")
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    violation = json.loads(line)
+    assert violation["code"] == "V10"
+    assert violation["severity"] == "Error"
+    assert violation["subject"] == "http://example.org/observation/x/0/0"
+    assert violation["path"] == str(bad_confidence)
+
+
 def _one_row_file(tmp_path, key: str, number: str):
     """A one-row file with ``number`` at its ``time`` or ``duration``, or
     else at sandbox key ``key``."""

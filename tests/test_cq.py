@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from muse_anno import answer_cq, emit_graph, oracle_cq, parse_turtle, vocab
 from muse_anno.cq import _QUESTIONS
 from muse_anno.errors import SubjectNotFound, SubjectRequired, UnknownCq
 
+from injections import valid_model
 from usage_examples import build_michelle_model, build_mozart_model
 
 
@@ -140,11 +142,20 @@ def test_cq5_cq6_observation_time_frame(bohemian_graph, bohemian_model):
 def test_oracle_equivalence_on_fixture_models(bohemian_model, michelle_model,
                                               mozart_score_model):
     for model in (bohemian_model, michelle_model, mozart_score_model,
-                  build_mozart_model(), build_michelle_model()):
+                  build_mozart_model(), build_michelle_model(),
+                  replace(valid_model(), subject=None)):
         graph = emit_graph(model)
         for cq, subject in _all_subject_calls(model):
             assert answer_cq(cq, graph, subject) == \
                 oracle_cq(cq, model, subject), f"CQ{cq} subject={subject}"
+
+
+def test_a_model_without_subject_links_no_annotation_to_an_object():
+    model = replace(valid_model(), subject=None)
+    graph = emit_graph(model)
+    assert [t for t in graph if t.predicate == vocab.HAS_MUSIC_ANNOTATION] == []
+    assert answer_cq(10, graph).rows == ()
+    assert oracle_cq(10, model).rows == ()
 
 
 def test_cq8_observation_matches_annotation(bohemian_model, bohemian_graph):

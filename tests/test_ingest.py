@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muse_anno import (
+    IriMinter,
     LoweringOptions,
     Modality,
     MusicTimeValueType,
@@ -19,7 +20,6 @@ from muse_anno import (
     detect_modality_hint,
     emit_graph,
     lower_to_model,
-    mint_iri,
     parse_jams,
     score_interval,
     serialize_turtle,
@@ -430,16 +430,18 @@ def test_lower_unknown_annotator_fallback():
 
 
 def test_lower_namespace_registry(michelle_model):
-    assert michelle_model.annotations[0].value_kind.token == "segment"
+    obs = michelle_model.annotations[0].observations[0]
+    assert obs.value.kind.token == "segment"
 
 
 def test_lower_generic_namespace():
     text = EMPTY_CORPUS.replace(
         '"annotations":[]',
-        '"annotations":[{"namespace":"beat_position","data":[]}]')
+        '"annotations":[{"namespace":"beat_position","data":'
+        '[{"time":0,"duration":1,"value":"1"}]}]')
     model = lower_to_model(parse_jams(text),
                            LoweringOptions(modality=Modality.AUDIO))
-    kind = model.annotations[0].value_kind
+    kind = model.annotations[0].observations[0].value.kind
     assert kind.token == "generic"
     assert kind.namespace == "beat_position"
 
@@ -675,8 +677,8 @@ def test_lowering_spans_match_the_row_synthesizers(title, blocks):
 def _assert_rows_share_values_and_number_under_the_block(model, i, title):
     by_label = {}
     for j, obs in enumerate(model.annotations[i].observations):
-        assert obs.id == mint_iri(model.base_iri, "observation",
-                                  [title or "untitled", str(i), str(j)])
+        assert obs.id == IriMinter(model.base_iri).mint(
+            "observation", [title or "untitled", str(i), str(j)])
         assert by_label.setdefault(obs.value.label, obs.value) is obs.value
     assert len({id(value) for value in by_label.values()}) == len(by_label)
 

@@ -24,7 +24,6 @@ from muse_anno import (
     Triple,
     audio_interval,
     emit_graph,
-    mint_iri,
     parse_turtle,
     serialize_ntriples,
     serialize_turtle,
@@ -52,8 +51,8 @@ from strategies import any_models
 # --- minting -------------------------------------------------------------------
 
 def test_mint_iri_concatenation_rule():
-    minted = mint_iri("http://example.org/", "annotation",
-                      ["01-bohemian-rhapsody", "0"])
+    minted = IriMinter("http://example.org/").mint(
+        "annotation", ["01-bohemian-rhapsody", "0"])
     # Independent recomputation of the stated rule.
     expected = ("http://example.org/" + "annotation" + "/" +
                 "/".join(["01-bohemian-rhapsody", "0"]))
@@ -61,19 +60,19 @@ def test_mint_iri_concatenation_rule():
 
 
 def test_mint_iri_slugs_discriminators():
-    minted = mint_iri("http://example.org/", "Annotation",
-                      ["01 Bohemian Rhapsody", "Bb:maj6"])
+    minted = IriMinter("http://example.org/").mint(
+        "Annotation", ["01 Bohemian Rhapsody", "Bb:maj6"])
     assert minted == "http://example.org/annotation/01-bohemian-rhapsody/bb-maj6"
 
 
 def test_mint_iri_deterministic():
-    args = ("http://example.org/", "value", ["chord", "C:7"])
-    assert mint_iri(*args) == mint_iri(*args)
+    base, args = "http://example.org/", ("value", ["chord", "C:7"])
+    assert IriMinter(base).mint(*args) == IriMinter(base).mint(*args)
 
 
 def test_mint_iri_invalid_base():
     with pytest.raises(InvalidBase):
-        mint_iri("not a iri", "annotation", ["x"])
+        IriMinter("not a iri")
 
 
 def test_minter_resolves_slug_collisions_with_ordinals():
@@ -806,11 +805,11 @@ def test_parse_matches_the_token_loop_on_edits_of_emitted_turtle(text, edits):
 # subject blocks replaced, kept as oracles: one ``add`` per triple, the time
 # terms worked out per part, and a prefix loop per IRI.
 _TIME_TYPE_IRIS = {
-    MusicTimeValueType.SECONDS: vocab.SECONDS,
-    MusicTimeValueType.MILLISECONDS: vocab.MILLISECONDS,
-    MusicTimeValueType.MINUTES: vocab.MINUTES,
-    MusicTimeValueType.MEASURE: vocab.MEASURE,
-    MusicTimeValueType.BEAT: vocab.BEAT,
+    MusicTimeValueType.SECONDS: vocab.MAP + "Seconds",
+    MusicTimeValueType.MILLISECONDS: vocab.MAP + "Milliseconds",
+    MusicTimeValueType.MINUTES: vocab.MAP + "Minutes",
+    MusicTimeValueType.MEASURE: vocab.MAP + "Measure",
+    MusicTimeValueType.BEAT: vocab.MAP + "Beat",
 }
 
 
@@ -823,13 +822,14 @@ def _emit_by_triples(model: AnnotationModel) -> RdfGraph:
             graph.add(subject.id, vocab.RDFS_LABEL, Literal(subject.title))
     values_seen = set()
     for annotation in model.annotations:
+        if subject is not None:
+            graph.add(subject.id, vocab.HAS_MUSIC_ANNOTATION, annotation.id)
         _emit_annotation_by_triples(graph, annotation, model.base_iri,
                                     values_seen)
     return graph
 
 
 def _emit_annotation_by_triples(graph, annotation, base_iri, values_seen):
-    graph.add(annotation.subject, vocab.HAS_MUSIC_ANNOTATION, annotation.id)
     graph.add(annotation.id, vocab.RDF_TYPE,
               vocab.annotation_class(annotation.modality))
     annotator = annotation.annotator

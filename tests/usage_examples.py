@@ -56,11 +56,9 @@ def build_mozart_model() -> AnnotationModel:
     annotation = MusicAnnotation(
         id=EX + "ScoreAnnotation",
         modality=Modality.SCORE,
-        subject=EX + "MozartPianoSonataScore",
         annotator=annotator,
         interval=score_interval(1, 1, 4),
         observations=observations,
-        value_kind=CHORD_KIND,
     )
     subject = MusicalObjectRef(
         id=EX + "MozartPianoSonataScore",
@@ -98,11 +96,9 @@ def build_michelle_model() -> AnnotationModel:
     annotation = MusicAnnotation(
         id=EX + "MichelleSegmentAnnotation",
         modality=Modality.AUDIO,
-        subject=EX + "BeatlesMichelleTrack",
         annotator=annotator,
         interval=audio_interval(Decimal("0.0"), Decimal("18.400")),
         observations=observations,
-        value_kind=SEGMENT_KIND,
     )
     subject = MusicalObjectRef(
         id=EX + "BeatlesMichelleTrack",
