@@ -1,7 +1,8 @@
 """Batch command line: convert, validate, query, stats.
 
 Every command reads, parses, lowers and validates each file on one path
-(``stats`` stops after parsing), then does its own work on the result.
+(``stats`` stops after parsing, so it ignores --modality, --strict and
+--base-iri), then does its own work on the result.
 Exit codes follow one contract everywhere: 0 success, 1 any parse or
 validation Error, 2 usage error.  A file that cannot be read, parsed or
 lowered gives one JSON diagnostic on stderr and the batch goes on; a usage
@@ -21,17 +22,17 @@ import tempfile
 from decimal import Decimal
 from pathlib import Path
 
-from .cq import answer_cq
-from .errors import MuseAnnoError
+from .cq import _question, answer_cq
+from .errors import MuseAnnoError, SubjectRequired
 from .ingest import (
     JamsDocument,
     LoweringOptions,
+    annotator_type,
     detect_modality_hint,
     lower_to_model,
     parse_jams,
-    resolve_annotator,
 )
-from .iri import DEFAULT_BASE_IRI, IriMinter
+from .iri import DEFAULT_BASE_IRI
 from .model import Modality
 from .rdf import emit_graph, serialize_ntriples, serialize_turtle
 from .util import decimal_lexical
@@ -250,6 +251,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_query(args) -> int:
+    try:
+        _question(args.cq, args.subject)
+    except SubjectRequired as exc:
+        raise _UsageError(None, str(exc)) from None
     if not args.input.is_file():
         return _unreadable(args, args.input)
 
@@ -274,12 +279,10 @@ def cmd_stats(args) -> int:
 
     def tail(path: Path, doc: JamsDocument) -> int:
         nonlocal summarized, observations, min_time, max_time
-        minter = IriMinter(_base_iri(args))
         summarized += 1
         for block in doc.annotations:
             namespaces[block.namespace] = namespaces.get(block.namespace, 0) + 1
-            annotator = resolve_annotator(block.annotation_metadata, minter)
-            type_name = annotator.annotator_type.name
+            type_name = annotator_type(block.annotation_metadata).name
             annotator_types[type_name] = annotator_types.get(type_name, 0) + 1
             for row in block.data:
                 observations += 1

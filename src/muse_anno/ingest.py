@@ -40,6 +40,7 @@ from .model import (
     TIME_VALUE_RANGES,
     AnnotationModel,
     Annotator,
+    AnnotatorType,
     Modality,
     MusicAnnotation,
     MusicObservation,
@@ -107,58 +108,6 @@ class JamsDocument:
     annotations: tuple[JamsAnnotationBlock, ...]
     sandbox: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-
-    def to_json_data(self) -> dict:
-        """Reassemble a JSON-ready structure (Decimals preserved) covering
-        every known field plus sandboxes and extras."""
-        fm = self.file_metadata
-        file_metadata: dict = {
-            "jams_version": fm.jams_version,
-            "title": fm.title,
-            "artist": fm.artist,
-            "release": fm.release,
-            "identifiers": fm.identifiers,
-            **fm.extras,
-        }
-        if fm.duration is not None:
-            file_metadata["duration"] = fm.duration
-        annotations = []
-        for block in self.annotations:
-            md = block.annotation_metadata
-            metadata: dict = dict(md.extras)
-            if md.curator_name is not None or md.curator_email is not None:
-                metadata["curator"] = {}
-                if md.curator_name is not None:
-                    metadata["curator"]["name"] = md.curator_name
-                if md.curator_email is not None:
-                    metadata["curator"]["email"] = md.curator_email
-            metadata["annotator"] = md.annotator
-            for key in _METADATA_STRINGS:
-                value = getattr(md, key)
-                if value is not None:
-                    metadata[key] = value
-            rows = []
-            for row in block.data:
-                out: dict = {"time": row.time, "duration": row.duration,
-                             "value": row.value, **row.extras}
-                if row.confidence is not None:
-                    out["confidence"] = row.confidence
-                if row.sandbox:
-                    out["sandbox"] = row.sandbox
-                rows.append(out)
-            annotations.append({
-                "namespace": block.namespace,
-                "data": rows,
-                "annotation_metadata": metadata,
-                "sandbox": block.sandbox,
-                **block.extras,
-            })
-        return {
-            "annotations": annotations,
-            "file_metadata": file_metadata,
-            "sandbox": self.sandbox,
-            **self.extras,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -503,10 +452,10 @@ def resolve_annotator(metadata: JamsAnnotationMetadata,
     """Resolve the annotator a JAMS block implies.
 
     Preference order: the metadata ``annotator`` map when non-empty, then
-    the curator, then a synthetic unknown annotator.  The type is Machine
-    when ``annotation_tools`` is non-empty, Human otherwise.
+    the curator, then a synthetic unknown annotator; ``annotator_type``
+    gives its type.
     """
-    atype = MACHINE if metadata.annotation_tools else HUMAN
+    atype = annotator_type(metadata)
     if metadata.annotator:
         raw_name = metadata.annotator.get("name")
         name = raw_name if isinstance(raw_name, str) and raw_name else None
@@ -526,6 +475,11 @@ def resolve_annotator(metadata: JamsAnnotationMetadata,
         name=name,
         annotator_type=atype,
     )
+
+
+def annotator_type(metadata: JamsAnnotationMetadata) -> AnnotatorType:
+    """Machine when ``annotation_tools`` is non-empty, Human otherwise."""
+    return MACHINE if metadata.annotation_tools else HUMAN
 
 
 def _short_hash(text: str) -> str:

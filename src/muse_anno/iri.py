@@ -32,14 +32,11 @@ def is_absolute_iri(text: str) -> bool:
                 and _BAD_IRI_CHARS.isdisjoint(text))
 
 
-_SLUG_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
 _NON_SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 
 def slug(text: str) -> str:
     """Lowercased ASCII path segment: runs of other characters become '-'."""
-    if _SLUG_RE.fullmatch(text):  # already a slug, as row indices are
-        return text
     normalized = unicodedata.normalize("NFKD", text)
     ascii_text = normalized.encode("ascii", "ignore").decode("ascii").lower()
     return _NON_SLUG_RE.sub("-", ascii_text).strip("-") or "x"

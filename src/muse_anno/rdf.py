@@ -18,9 +18,10 @@ is also the order a graph yields its triples in, so one graph always
 gives the same bytes on any platform.  Each serializer renders a
 distinct term once per call; Turtle writes one string per subject block.
 
-``parse_turtle`` understands exactly the subset ``serialize_turtle``
-emits (prefix declarations, IRIs, prefixed names, ``a``, typed and plain
-literals, bare numbers, ``;``/``,`` abbreviation) and refuses everything
+``parse_turtle`` understands the subset ``serialize_turtle`` emits
+(prefix declarations, IRIs, prefixed names, ``a``, typed and plain
+literals, ``;``/``,`` abbreviation), so N-Triples too, plus comments and
+bare numbers, which neither serializer writes.  It refuses everything
 else, so round-trips are testable without dragging in an RDF stack.  One
 regex split cuts the text into tokens, whose patterns also enforce the
 lexical rules (legal IRI characters, string escapes that name Unicode
@@ -310,9 +311,7 @@ def _in_order(graph: RdfGraph) -> Iterator[tuple[str, Iterable[
     order."""
     spo = graph._spo
     for subject in sorted(spo):
-        predicates = spo[subject]
-        yield subject, (sorted(predicates.items()) if len(predicates) > 1
-                        else predicates.items())
+        yield subject, sorted(spo[subject].items())
 
 
 def _sorted_objects(objects: set[Term]) -> list[Term]:
@@ -455,7 +454,8 @@ _UNSUPPORTED = {
 
 
 def parse_turtle(text: str) -> RdfGraph:
-    """Parse the Turtle subset this package emits.
+    """Parse the Turtle subset this package emits, N-Triples included,
+    with comments and bare numbers besides.
 
     Raises TurtleSyntax with a location for malformed input and
     UnsupportedConstruct for valid Turtle outside the subset (blank

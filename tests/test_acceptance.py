@@ -95,6 +95,7 @@ def test_c4_round_trip_and_byte_determinism(model):
     ntriples = serialize_ntriples(graph)
     assert serialize_ntriples(graph) == ntriples
     assert len(ntriples.splitlines()) == len(graph)
+    assert list(parse_turtle(ntriples)) == list(graph)
 
 
 @given(any_models)

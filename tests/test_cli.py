@@ -392,21 +392,25 @@ def test_a_deeply_nested_annotator_is_one_diagnostic(tmp_path, capsys_run,
         assert json.loads(out)["files"] == 0
 
 
-@pytest.mark.parametrize("command", ["validate", "stats"])
-def test_a_bad_base_iri_is_one_diagnostic_per_file(capsys_run, command):
-    code, out, err = capsys_run(command, str(FIXTURES), "--base-iri",
+def test_a_bad_base_iri_is_one_diagnostic_per_file(capsys_run):
+    code, out, err = capsys_run("validate", str(FIXTURES), "--base-iri",
                                 "not an iri")
     assert code == 1
+    assert out == ""
     diagnostics = [json.loads(line) for line in err.splitlines()]
     assert [d["error"] for d in diagnostics] == ["InvalidBase"] * 3
     assert [d["path"] for d in diagnostics] == [
         str(BOHEMIAN), str(MICHELLE), str(MOZART)]
-    if command == "validate":
-        assert out == ""
-    else:
-        assert json.loads(out) == {
-            "files": 0, "annotations_by_namespace": {}, "observations": 0,
-            "annotator_types": {}, "min_time": None, "max_time": None}
+
+
+def test_stats_ignores_the_base_iri(capsys_run):
+    """stats mints no IRI, so a base it cannot use changes nothing."""
+    plain = capsys_run("stats", str(FIXTURES))
+    assert capsys_run("stats", str(FIXTURES), "--base-iri", "not an iri") \
+        == plain
+    code, out, err = plain
+    assert (code, err) == (0, "")
+    assert json.loads(out)["files"] == 3
 
 
 def test_convert_refuses_inputs_sharing_an_output_name(tmp_path, capsys_run):
@@ -445,6 +449,16 @@ def test_query_subject_not_found_exits_one(capsys_run):
     assert code == 1
     assert out == ""
     assert "SubjectNotFound" in err
+
+
+@pytest.mark.parametrize("cq", [3, 5, 6, 7, 9])
+def test_query_without_a_needed_subject_is_a_usage_error(tmp_path, capsys, cq):
+    # Refused before any file is read: the input does not even exist.
+    assert main(["query", str(tmp_path / "missing.jams"), "--cq", str(cq)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "usage", "message": f"CQ{cq} requires a subject IRI"}
 
 
 def test_query_rejects_out_of_range_cq(capsys):

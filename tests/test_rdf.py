@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-import unicodedata
 from dataclasses import replace
 from itertools import groupby, product
 
@@ -85,23 +84,12 @@ def test_minter_resolves_slug_collisions_with_ordinals():
     assert minter.mint("value", ["chord", "C 7"], key=1) == first
 
 
-def _slug_by_normalizing(text: str) -> str:
-    """The full NFKD-and-regex path that ``slug`` short-cuts."""
-    normalized = unicodedata.normalize("NFKD", text)
-    ascii_text = normalized.encode("ascii", "ignore").decode("ascii").lower()
-    return re.sub(r"[^a-z0-9]+", "-", ascii_text).strip("-") or "x"
-
-
-@given(st.one_of(st.text(), st.from_regex(r"[a-z0-9]+(-[a-z0-9]+)*",
-                                          fullmatch=True),
-                 st.text(st.sampled_from("az09-_ AZ\u0130\u212a\u0660\xe9"))))
-@example("0")
-@example("-a")
-@example("a--b")
-@example("\u212a")  # Kelvin sign, which lowercases to an ASCII "k"
-@settings(max_examples=200)
-def test_slug_equals_the_normalizing_path(text):
-    assert slug(text) == _slug_by_normalizing(text)
+def test_slug_examples():
+    assert slug("\u212a") == "k"  # Kelvin sign, whose NFKD form is "K"
+    assert slug("") == "x"
+    assert slug("-a") == "a"
+    assert slug("a--b") == "a-b"
+    assert slug("01 Bohemian Rhapsody") == "01-bohemian-rhapsody"
 
 
 # --- emission ------------------------------------------------------------------
@@ -398,14 +386,17 @@ def test_parse_single_triple_document():
     assert graph.prefixes == {"ex": "http://example.org/"}
 
 
-def test_parse_round_trips_fixture_graphs(bohemian_graph):
+def test_parse_round_trips_fixture_graphs(bohemian_graph, michelle_model,
+                                         mozart_score_model):
     graphs = [emit_graph(build_mozart_model()),
-              emit_graph(build_michelle_model()), bohemian_graph]
+              emit_graph(build_michelle_model()), bohemian_graph,
+              emit_graph(michelle_model), emit_graph(mozart_score_model)]
     for graph in graphs:
         parsed = parse_turtle(serialize_turtle(graph))
         assert parsed == graph
         for cq_id in (1, 2, 4, 8, 10):
             assert answer_cq(cq_id, parsed) == answer_cq(cq_id, graph)
+        assert list(parse_turtle(serialize_ntriples(graph))) == list(graph)
 
 
 def test_parse_accepts_bare_numbers_and_a():
