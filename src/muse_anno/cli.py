@@ -9,7 +9,10 @@ lowered gives one JSON diagnostic on stderr and the batch goes on; a usage
 error stops it.  Data output (triple counts, violation reports, TSV
 bindings, stats) goes to stdout only.  Directory inputs are expanded to
 their ``*.jams`` files in sorted order, which keeps multi-file output
-deterministic.  Output files are written atomically (temp, then rename).
+deterministic; an entry that is not a regular file is reported like a
+named input that is not.  Output files are written atomically (temp, then
+rename), streamed a chunk of subject blocks at a time, with the umask's
+mode.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from decimal import Decimal
 from pathlib import Path
 
@@ -157,12 +159,11 @@ def _input_files(args) -> tuple[list[Path], int]:
     files: list[Path] = []
     status = 0
     for path in args.inputs:
-        if path.is_dir():
-            files.extend(path.glob("*.jams"))
-        elif path.is_file():
-            files.append(path)
-        else:
-            status = _unreadable(args, path)
+        for entry in sorted(path.glob("*.jams")) if path.is_dir() else [path]:
+            if entry.is_file():
+                files.append(entry)
+            else:
+                status = _unreadable(args, entry)
     if not files and not status:
         raise _UsageError(None, "no input files found")
     return sorted(files), status
@@ -201,16 +202,19 @@ def _lower(args, path: Path, doc: JamsDocument):
     return model, validate_model(model)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", newline="", dir=path.parent,
-        prefix=f".{path.name}.", delete=False)
+def _atomic_write(path: Path, write) -> None:
+    """Make ``path`` the text ``write(file)`` writes to an open UTF-8 text
+    file: a new temporary file beside it, created with the mode a plain
+    ``open`` would give, then renamed over it.  On any failure the
+    temporary file goes and ``path`` is left as it was."""
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    handle = open(temp, "x", encoding="utf-8", newline="")
     try:
         with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
+            write(handle)
+        os.replace(temp, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(temp)
         raise
 
 
@@ -233,11 +237,13 @@ def cmd_convert(args) -> int:
 
     def tail(path: Path, doc: JamsDocument) -> int:
         model, violations = _lower(args, path, doc)
+        del doc  # nothing reads the parsed file after lowering
         if _report(args, path, violations, sys.stderr):
             return 1
         graph = emit_graph(model, violations)
+        del model, violations  # nor the model after emitting
         serialize = serialize_turtle if args.format == "ttl" else serialize_ntriples
-        _atomic_write(targets[path], serialize(graph))
+        _atomic_write(targets[path], lambda file: serialize(graph, file))
         print(f"{targets[path]}\t{len(graph)}")
         return 0
 

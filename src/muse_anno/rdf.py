@@ -16,7 +16,9 @@ source lexical forms, and both serializers write in one order
 (``_in_order``: subjects, then each subject's predicates, sorted), which
 is also the order a graph yields its triples in, so one graph always
 gives the same bytes on any platform.  Each serializer renders a
-distinct term once per call; Turtle writes one string per subject block.
+distinct term once per call and makes one string per subject block.  It
+returns the whole text, or, given an open text file, writes the blocks
+there a chunk of many at a time, so the whole text never exists at once.
 
 ``parse_turtle`` understands the subset ``serialize_turtle`` emits
 (prefix declarations, IRIs, prefixed names, ``a``, typed and plain
@@ -35,7 +37,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 from operator import length_hint
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from . import vocab
 from .errors import (MuseAnnoError, TurtleSyntax, UnsupportedConstruct,
@@ -319,40 +321,67 @@ def _sorted_objects(objects: set[Term]) -> list[Term]:
     return sorted(objects, key=nt_term)
 
 
-def serialize_ntriples(graph: RdfGraph) -> str:
+# Subject blocks per chunk of serialized text: enough that a chunk costs
+# one write call, few enough that a chunk stays small next to the graph.
+_CHUNK_BLOCKS = 256
+
+
+def _join_or_write(blocks: Iterator[str], out: TextIO | None) -> str | None:
+    """The blocks' text; or, given ``out``, None, having written the text
+    there ``_CHUNK_BLOCKS`` blocks at a time."""
+    if out is None:
+        return "".join(blocks)
+    while chunk := list(islice(blocks, _CHUNK_BLOCKS)):
+        out.write("".join(chunk))
+    return None
+
+
+def serialize_ntriples(graph: RdfGraph,
+                       out: TextIO | None = None) -> str | None:
     """One line per triple, in ``_in_order``; each distinct term is
-    rendered once per call."""
+    rendered once per call.  Returns the text, or with ``out`` writes it
+    there chunk by chunk and returns None."""
+    return _join_or_write(_ntriples_blocks(graph), out)
+
+
+def _ntriples_blocks(graph: RdfGraph) -> Iterator[str]:
     rendered: dict[Term, str] = {}
 
     def render(term: Term) -> str:
         text = rendered[term] = nt_term(term)
         return text
 
-    out = []
     for subject, pairs in _in_order(graph):
         head = f"<{subject}> <"
+        lines = []
         for predicate, objects in pairs:
             if isinstance(objects, set):
-                out += [f"{head}{predicate}> {rendered.get(obj) or render(obj)} .\n"
-                        for obj in _sorted_objects(objects)]
+                lines += [f"{head}{predicate}> {rendered.get(obj) or render(obj)} .\n"
+                          for obj in _sorted_objects(objects)]
             else:
-                out.append(f"{head}{predicate}> "
-                           f"{rendered.get(objects) or render(objects)} .\n")
-    return "".join(out)
+                lines.append(f"{head}{predicate}> "
+                             f"{rendered.get(objects) or render(objects)} .\n")
+        yield "".join(lines)
 
 
 _PN_LOCAL = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
 
 
-def serialize_turtle(graph: RdfGraph) -> str:
+def serialize_turtle(graph: RdfGraph,
+                     out: TextIO | None = None) -> str | None:
     """Deterministic Turtle: sorted prefixes, then subject blocks in
-    ``_in_order``, one blank line apart.
+    ``_in_order``, one blank line apart.  Returns the text, or with
+    ``out`` writes it there chunk by chunk and returns None.
 
     An IRI is written as a prefixed name under the first prefix, in name
     order, whose namespace it extends by a valid local name, else as
     ``<IRI>``.  Each distinct term, and each predicate as a verb, is
     rendered once per call.
     """
+    return _join_or_write(_turtle_blocks(graph), out)
+
+
+def _turtle_blocks(graph: RdfGraph) -> Iterator[str]:
     prefixes = sorted(graph.prefixes.items())
     named = [(prefix, namespace) for prefix, namespace in prefixes if namespace]
     # One alternative per namespace in prefix name order; when a namespace
@@ -386,16 +415,15 @@ def serialize_turtle(graph: RdfGraph) -> str:
         return ", ".join([rendered.get(obj) or render(obj)
                           for obj in _sorted_objects(objects)])
 
-    out = [f"@prefix {prefix}: <{namespace}> .\n"
-           for prefix, namespace in prefixes]
+    yield "".join([f"@prefix {prefix}: <{namespace}> .\n"
+                   for prefix, namespace in prefixes])
     for subject, pairs in _in_order(graph):
         body = " ;\n    ".join([
             (verbs.get(predicate) or verb(predicate))
             + (many(objects) if isinstance(objects, set)
                else rendered.get(objects) or render(objects))
             for predicate, objects in pairs])
-        out.append(f"\n{rendered.get(subject) or render(subject)} {body} .\n")
-    return "".join(out)
+        yield f"\n{rendered.get(subject) or render(subject)} {body} .\n"
 
 
 # --- parsing (emitted subset only) -------------------------------------------

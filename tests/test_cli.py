@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -328,8 +329,47 @@ def test_validate_reports_a_directory_named_like_an_input_and_goes_on(
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "io"
     assert diagnostic["path"] == str(tmp_path / "a_dir.jams")
-    assert "a_dir.jams" in diagnostic["message"]
+    assert diagnostic["message"] == "not a regular file"
     assert json.loads(out)["code"] == "W2"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("command", ["validate", "convert"])
+def test_a_fifo_or_directory_in_an_input_directory_is_reported_unread(
+        tmp_path, capsys_run, command):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    os.mkfifo(corpus / "a_pipe.jams")
+    (corpus / "b_dir.jams").mkdir()
+    (corpus / "c_michelle.jams").write_bytes(MICHELLE.read_bytes())
+    argv = [command, str(corpus), "--modality", "audio"]
+    if command == "convert":
+        argv += ["-o", str(tmp_path / "out")]
+    code, out, err = capsys_run(*argv)
+    assert code == 1
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "io", "message": "not a regular file",
+         "path": str(corpus / name)} for name in ("a_pipe.jams", "b_dir.jams")]
+    if command == "convert":
+        assert out.startswith(str(tmp_path / "out" / "c_michelle.ttl") + "\t")
+    else:
+        assert out == ""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_convert_output_gets_the_umask_mode(tmp_path, capsys_run, umask):
+    old = os.umask(umask)
+    try:
+        code, _, _ = capsys_run("convert", str(BOHEMIAN), "--modality",
+                                "audio", "-o", str(tmp_path))
+        plain = tmp_path / "plain"
+        plain.touch()
+    finally:
+        os.umask(old)
+    assert code == 0
+    mode = stat.S_IMODE((tmp_path / "bohemian_rhapsody.ttl").stat().st_mode)
+    assert mode == 0o666 & ~umask == stat.S_IMODE(plain.stat().st_mode)
 
 
 @pytest.mark.parametrize("output", ["taken", "taken/sub"])
