@@ -11,8 +11,7 @@ bindings, stats) goes to stdout only.  Directory inputs are expanded to
 their ``*.jams`` files in sorted order, which keeps multi-file output
 deterministic; an entry that is not a regular file is reported like a
 named input that is not.  Output files are written atomically (temp, then
-rename), streamed a chunk of subject blocks at a time, with the umask's
-mode.
+rename), streamed one subject block at a time, with the umask's mode.
 """
 
 from __future__ import annotations

@@ -143,8 +143,14 @@ def parse_jams(data: bytes | str) -> JamsDocument:
                 text.encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise _json_error_at(text, exc.start, "lone surrogate") from exc
+
+    def refuse(constant: str):  # json.loads passes NaN and Infinity here
+        raise _json_error_at(text, next(
+            t.start() for t in _JSON_TOKEN_RE.finditer(text)
+            if t.group() == constant), f"{constant} is not a JSON value")
+
     try:
-        raw = json.loads(text, parse_float=Decimal)
+        raw = json.loads(text, parse_float=Decimal, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise MalformedJson(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:  # an integer past the int conversion limit
@@ -178,8 +184,11 @@ def parse_jams(data: bytes | str) -> JamsDocument:
 
 
 _TOO_DEEP = "arrays and objects nested too deeply"
+# JSON strings, numbers and brackets, and the NaN and Infinity tokens that
+# json.loads accepts and JSON lacks.
 _JSON_TOKEN_RE = re.compile(
-    r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?|[\[{]|[\]}]')
+    r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?|[\[{]|[\]}]'
+    r"|-?Infinity|NaN")
 
 
 def _unlocated_json_error(text: str, message: str) -> MalformedJson:

@@ -15,10 +15,11 @@ the minting scheme, prefixes are sorted by name, literals keep their
 source lexical forms, and both serializers write in one order
 (``_in_order``: subjects, then each subject's predicates, sorted), which
 is also the order a graph yields its triples in, so one graph always
-gives the same bytes on any platform.  Each serializer renders a
-distinct term once per call and makes one string per subject block.  It
-returns the whole text, or, given an open text file, writes the blocks
-there a chunk of many at a time, so the whole text never exists at once.
+gives the same bytes on any platform.  Each serializer makes one string
+per subject block.  It returns the whole text, or, given an open text
+file, writes there one block at a time, so the whole text never exists
+at once.  Turtle keeps a term's rendering only until that term's own
+subject block is written, so written subjects do not pile up.
 
 ``parse_turtle`` understands the subset ``serialize_turtle`` emits
 (prefix declarations, IRIs, prefixed names, ``a``, typed and plain
@@ -321,46 +322,33 @@ def _sorted_objects(objects: set[Term]) -> list[Term]:
     return sorted(objects, key=nt_term)
 
 
-# Subject blocks per chunk of serialized text: enough that a chunk costs
-# one write call, few enough that a chunk stays small next to the graph.
-_CHUNK_BLOCKS = 256
-
-
 def _join_or_write(blocks: Iterator[str], out: TextIO | None) -> str | None:
     """The blocks' text; or, given ``out``, None, having written the text
-    there ``_CHUNK_BLOCKS`` blocks at a time."""
+    there block by block (a text file buffers the writes)."""
     if out is None:
         return "".join(blocks)
-    while chunk := list(islice(blocks, _CHUNK_BLOCKS)):
-        out.write("".join(chunk))
+    for block in blocks:
+        out.write(block)
     return None
 
 
 def serialize_ntriples(graph: RdfGraph,
                        out: TextIO | None = None) -> str | None:
-    """One line per triple, in ``_in_order``; each distinct term is
-    rendered once per call.  Returns the text, or with ``out`` writes it
-    there chunk by chunk and returns None."""
+    """One line per triple, in ``_in_order``.  Returns the text, or with
+    ``out`` writes it there block by block and returns None."""
     return _join_or_write(_ntriples_blocks(graph), out)
 
 
 def _ntriples_blocks(graph: RdfGraph) -> Iterator[str]:
-    rendered: dict[Term, str] = {}
-
-    def render(term: Term) -> str:
-        text = rendered[term] = nt_term(term)
-        return text
-
     for subject, pairs in _in_order(graph):
         head = f"<{subject}> <"
         lines = []
         for predicate, objects in pairs:
             if isinstance(objects, set):
-                lines += [f"{head}{predicate}> {rendered.get(obj) or render(obj)} .\n"
+                lines += [f"{head}{predicate}> {nt_term(obj)} .\n"
                           for obj in _sorted_objects(objects)]
             else:
-                lines.append(f"{head}{predicate}> "
-                             f"{rendered.get(objects) or render(objects)} .\n")
+                lines.append(f"{head}{predicate}> {nt_term(objects)} .\n")
         yield "".join(lines)
 
 
@@ -371,12 +359,12 @@ def serialize_turtle(graph: RdfGraph,
                      out: TextIO | None = None) -> str | None:
     """Deterministic Turtle: sorted prefixes, then subject blocks in
     ``_in_order``, one blank line apart.  Returns the text, or with
-    ``out`` writes it there chunk by chunk and returns None.
+    ``out`` writes it there block by block and returns None.
 
     An IRI is written as a prefixed name under the first prefix, in name
     order, whose namespace it extends by a valid local name, else as
-    ``<IRI>``.  Each distinct term, and each predicate as a verb, is
-    rendered once per call.
+    ``<IRI>``.  Each predicate as a verb is rendered once per call, and
+    any other term once until its own subject block is written.
     """
     return _join_or_write(_turtle_blocks(graph), out)
 
@@ -424,6 +412,7 @@ def _turtle_blocks(graph: RdfGraph) -> Iterator[str]:
                else rendered.get(objects) or render(objects))
             for predicate, objects in pairs])
         yield f"\n{rendered.get(subject) or render(subject)} {body} .\n"
+        del rendered[subject]  # objects seldom name it after its own block
 
 
 # --- parsing (emitted subset only) -------------------------------------------

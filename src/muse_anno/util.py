@@ -123,8 +123,6 @@ def _dump(value: object, out: list[str]) -> None:
         out.append(str(value))
     elif isinstance(value, Decimal):
         out.append(decimal_lexical(value))
-    elif isinstance(value, float):
-        out.append(repr(value))
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):

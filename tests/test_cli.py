@@ -282,8 +282,9 @@ def test_a_number_too_large_to_add_is_located(tmp_path, capsys_run, command,
 
 
 @pytest.mark.parametrize("payload", [b"[" * 100_000,
-                                     b'{"n": ' + b"9" * 5000 + b"}"],
-                         ids=["deep_nesting", "long_integer"])
+                                     b'{"n": ' + b"9" * 5000 + b"}",
+                                     b'{"n": NaN}'],
+                         ids=["deep_nesting", "long_integer", "nan"])
 def test_validate_reports_unparseable_json_and_goes_on(tmp_path, capsys_run,
                                                       payload):
     bad = tmp_path / "a_bad.jams"

@@ -130,6 +130,35 @@ def test_cq1_cq7_give_one_row_per_type_on_a_parsed_graph():
         (obs, value, vocab.CHORD, "C"), (obs, value, vocab.SEGMENT, "C"))
 
 
+LITERAL_LINKS_TTL = """\
+@prefix map: <https://purl.org/andreapoltronieri/music-annotation-pattern#> .
+@prefix ex: <http://example.org/> .
+ex:track a map:Track ; map:hasMusicAnnotation "ex:lost" , ex:good .
+ex:good a map:AudioMusicAnnotation ; map:hasMusicTimeInterval ex:iv .
+ex:iv map:hasMusicTimeIndex ex:ix ; map:hasMusicTimeDuration ex:du .
+ex:ix map:hasMusicTimeIndexComponent ex:c .
+ex:c map:hasTimeValue 0.5 ; map:hasMusicTimeValueType map:Seconds .
+ex:du map:hasTimeValue 2 ; map:hasMusicTimeValueType map:Seconds .
+ex:flat a map:AudioMusicAnnotation ; map:hasMusicTimeInterval "ex:iv" .
+ex:shallow a map:AudioMusicAnnotation ; map:hasMusicTimeInterval ex:iv2 .
+ex:iv2 map:hasMusicTimeIndex "ex:ix" ; map:hasMusicTimeDuration ex:du .
+"""
+
+
+def test_cq1_cq2_cq3_skip_links_to_literals_on_a_parsed_graph():
+    graph = parse_turtle(LITERAL_LINKS_TTL)
+    track, good, flat, shallow = (
+        "http://example.org/" + name
+        for name in ("track", "good", "flat", "shallow"))
+    assert answer_cq(1, graph).rows == (
+        (track, good, vocab.AUDIO_MUSIC_ANNOTATION, ""),)
+    assert answer_cq(2, graph).rows == (
+        (good, "0.5", vocab.SECONDS, "2", vocab.SECONDS),)
+    assert answer_cq(3, graph, good).rows == ((good, "0.5", vocab.SECONDS),)
+    assert answer_cq(3, graph, flat).rows == ()
+    assert answer_cq(3, graph, shallow).rows == ()
+
+
 def test_cq5_cq6_observation_time_frame(bohemian_graph, bohemian_model):
     obs = bohemian_model.annotations[0].observations[1]
     start = answer_cq(5, bohemian_graph, obs.id)

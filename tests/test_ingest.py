@@ -234,10 +234,25 @@ def test_surrogate_pairs_and_escaped_backslashes_are_kept():
         "\U0001f3b5 \\ud800"
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_nan_and_infinity_report_malformed_at_the_token(constant):
+    # json.loads reads these as floats, but JSON has no such tokens; the
+    # string spelling the same word is a plain label.
+    text = EMPTY_CORPUS.replace(
+        '"annotations":[]',
+        '"annotations":[{"namespace":"chord","data":\n'
+        f'[{{"time":0,"duration":1,"value":["{constant}", {constant}]}}]}}]')
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(text)
+    column = text.splitlines()[1].index(f" {constant}") + 2
+    assert str(excinfo.value) == \
+        f"{constant} is not a JSON value (line 2, column {column})"
+
+
 _FIXTURE_BYTES = (FIXTURES / "bohemian_rhapsody.jams").read_bytes()
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)
-    | st.floats(allow_nan=False, allow_infinity=False),
+    | st.floats(),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(
         ["annotations", "file_metadata", "sandbox", "namespace", "data",
@@ -308,6 +323,24 @@ def test_empty_namespace_rejected():
                                 '"annotations":[{"namespace":"","data":[]}]')
     with pytest.raises(TypeMismatch):
         parse_jams(text)
+
+
+@pytest.mark.parametrize("block, error, path", [
+    ('5', TypeMismatch, "annotations[0]"),
+    ('{"namespace":"chord","data":[5]}', TypeMismatch,
+     "annotations[0].data[0]"),
+    ('{"data":[]}', MissingField, "annotations[0].namespace"),
+    ('{"namespace":"chord","data":[],"annotation_metadata":{"version":[1]}}',
+     TypeMismatch, "annotations[0].annotation_metadata.version"),
+    ('{"namespace":"chord","data":[],"annotation_metadata":{"corpus":true}}',
+     TypeMismatch, "annotations[0].annotation_metadata.corpus"),
+])
+def test_malformed_block_names_its_path(block, error, path):
+    text = EMPTY_CORPUS.replace('"annotations":[]',
+                                f'"annotations":[{block}]')
+    with pytest.raises(error) as excinfo:
+        parse_jams(text)
+    assert excinfo.value.path == path
 
 
 def test_unknown_keys_preserved_in_extras():
@@ -424,6 +457,19 @@ def test_lower_unknown_annotator_fallback():
     annotator = model.annotations[0].annotator
     assert annotator.name is None
     assert annotator.id.endswith("/annotator/unknown-annotator")
+
+
+def test_lower_unnamed_annotator_map_is_named_by_its_hash():
+    text = EMPTY_CORPUS.replace(
+        '"annotations":[]',
+        '"annotations":[{"namespace":"chord","data":[],'
+        '"annotation_metadata":{"annotator":{"id":7,"email":"a@b.c"}}}]')
+    model = lower_to_model(parse_jams(text),
+                           LoweringOptions(modality=Modality.AUDIO))
+    annotator = model.annotations[0].annotator
+    digest = hashlib.sha1(b'{"email":"a@b.c","id":7}').hexdigest()[:8]
+    assert annotator.name is None
+    assert annotator.id == f"http://example.org/annotator/annotator-{digest}"
 
 
 def test_lower_namespace_registry(michelle_model):

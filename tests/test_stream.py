@@ -1,19 +1,19 @@
-"""Streamed serialization: written a chunk of subject blocks at a time, the
-text is byte for byte the one the serializers return, a failed write
-leaves its target as it was, and the write holds less than the text."""
+"""Streamed serialization: written one subject block at a time, the text
+is byte for byte the one the serializers return, a failed write leaves
+its target as it was, and the write holds a small part of the text."""
 
 from __future__ import annotations
 
 import errno
 import json
 import tracemalloc
-from io import StringIO
+from itertools import groupby
 
 import pytest
 
 from muse_anno import (LoweringOptions, Modality, cli, emit_graph,
-                       lower_to_model, parse_jams, rdf, serialize_ntriples,
-                       serialize_turtle)
+                       lower_to_model, parse_jams, parse_turtle,
+                       serialize_ntriples, serialize_turtle)
 from muse_anno.cli import main
 
 from conftest import FIXTURES
@@ -63,29 +63,41 @@ def graphs():
     return {name: _graph_of(name) for name in SOURCES}
 
 
-def test_the_generated_graph_spans_many_chunks(graphs):
+def test_the_generated_graph_spans_many_blocks(graphs):
     subjects = {s for s, _, _ in graphs["generated"]}
-    assert len(subjects) > 10 * rdf._CHUNK_BLOCKS
+    assert len(subjects) > 3 * GENERATED_ROWS
 
 
-@pytest.mark.parametrize("chunk", [1, 2, rdf._CHUNK_BLOCKS])
+class _Writes:
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text: str) -> int:
+        self.texts.append(text)
+        return len(text)
+
+
 @pytest.mark.parametrize("name", sorted(SOURCES))
 @pytest.mark.parametrize("fmt", sorted(SERIALIZERS))
-def test_writing_to_a_file_gives_the_returned_text(graphs, monkeypatch,
-                                                   chunk, name, fmt):
-    monkeypatch.setattr(rdf, "_CHUNK_BLOCKS", chunk)
-    serialize = SERIALIZERS[fmt]
-    out = StringIO()
-    assert serialize(graphs[name], out) is None
-    assert out.getvalue() == serialize(graphs[name])
+def test_writing_to_a_file_gives_the_returned_text(graphs, name, fmt):
+    graph, serialize = graphs[name], SERIALIZERS[fmt]
+    out = _Writes()
+    assert serialize(graph, out) is None
+    assert "".join(out.texts) == serialize(graph)
+    # One write per subject block.  Turtle writes its prefixes first, and
+    # each block reads under them.
+    prefixes = out.texts.pop(0) if fmt == "ttl" else ""
+    blocks = [list(triples) for _, triples in
+              groupby(graph, key=lambda triple: triple.subject)]
+    assert len(out.texts) == len(blocks)
+    for text, triples in zip(out.texts, blocks):
+        assert list(parse_turtle(prefixes + text)) == triples
 
 
-@pytest.mark.parametrize("chunk", [1, 2])
 @pytest.mark.parametrize("name", sorted(SOURCES))
 @pytest.mark.parametrize("fmt", sorted(SERIALIZERS))
-def test_convert_writes_the_returned_text(tmp_path, capsys, graphs,
-                                          monkeypatch, chunk, name, fmt):
-    monkeypatch.setattr(rdf, "_CHUNK_BLOCKS", chunk)
+def test_convert_writes_the_returned_text(tmp_path, capsys, graphs, name,
+                                          fmt):
     source = tmp_path / f"{name}.jams"
     source.write_bytes(_source_bytes(name))
     assert main(["convert", str(source), "--modality", SOURCES[name][0],
@@ -95,26 +107,25 @@ def test_convert_writes_the_returned_text(tmp_path, capsys, graphs,
     assert written == SERIALIZERS[fmt](graphs[name]).encode("utf-8")
 
 
-class _FailsAfterFirstChunk:
+class _FailsAfterFirstBlock:
     def __init__(self, out):
         self.out = out
-        self.chunks = 0
+        self.blocks = 0
 
     def write(self, text: str) -> int:
-        self.chunks += 1
-        if self.chunks > 1:
+        self.blocks += 1
+        if self.blocks > 1:
             raise OSError(errno.ENOSPC, "No space left on device")
         return self.out.write(text)
 
 
 def test_a_write_failing_midway_leaves_the_target_and_goes_on(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(rdf, "_CHUNK_BLOCKS", 1)
     calls = []
 
     def fails_first(graph, out):
         calls.append(graph)
-        return serialize_turtle(graph, _FailsAfterFirstChunk(out)
+        return serialize_turtle(graph, _FailsAfterFirstBlock(out)
                                 if len(calls) == 1 else out)
 
     monkeypatch.setattr(cli, "serialize_turtle", fails_first)
@@ -141,16 +152,29 @@ def test_a_write_failing_midway_leaves_the_target_and_goes_on(
         serialize_turtle(calls[1])
 
 
-def test_writing_turtle_holds_less_than_the_text(tmp_path, graphs):
-    graph = graphs["generated"]
-    length = len(serialize_turtle(graph))
-    with open(tmp_path / "out.ttl", "w", encoding="utf-8",
-              newline="") as out:
+def _write_peak(path, graph, serialize) -> int:
+    """The most memory writing the graph's text to a file held at once."""
+    with open(path, "w", encoding="utf-8", newline="") as out:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            serialize_turtle(graph, out)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            serialize(graph, out)
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-    assert peak < length
+
+
+def test_writing_turtle_holds_less_than_the_text(tmp_path, graphs):
+    # Turtle keeps the renderings of objects whose subject blocks are
+    # still to come.
+    graph = graphs["generated"]
+    length = len(serialize_turtle(graph))
+    assert _write_peak(tmp_path / "out.ttl", graph, serialize_turtle) \
+        < length / 3
+
+
+def test_writing_ntriples_holds_less_than_the_text(tmp_path, graphs):
+    graph = graphs["generated"]
+    length = len(serialize_ntriples(graph))
+    assert _write_peak(tmp_path / "out.nt", graph, serialize_ntriples) \
+        < length / 10

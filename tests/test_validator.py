@@ -406,6 +406,13 @@ _ORACLE_EDGES = {
     "seconds past the largest exponent": (lambda: _with_interval(
         valid_model(), _unit_interval("1E+999997", "1",
                                       MusicTimeValueType.SECONDS)), ["V3"]),
+    "an interval without an index": (lambda: _with_interval(
+        valid_model(), MusicTimeInterval(None, MusicTimeDuration(
+            Decimal("1"), MusicTimeValueType.SECONDS))), ["V1"]),
+    "an interval without a duration": (lambda: _with_interval(
+        valid_model(), MusicTimeInterval(MusicTimeIndex((
+            MusicTimeIndexComponent(Decimal("1"), MusicTimeValueType.SECONDS),
+        )), None)), ["V1"]),
     **{f"broken {code}": (make, [code]) for code, make in BROKEN_MODELS.items()},
 }
 
