@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
+from io import StringIO
 from itertools import groupby, product
 
 import pytest
@@ -1057,6 +1058,46 @@ def test_turtle_and_ntriples_write_as_the_triple_path(prefixes, triples):
         graph.add(*triple)
     assert serialize_turtle(graph) == _turtle_by_prefix_loop(graph)
     assert serialize_ntriples(graph) == _ntriples_of_sorted_triples(graph)
+
+
+# Turtle forgets a subject's rendering once its block is written; each case
+# meets such a term again in a later block.
+_X = {name: f"http://x/{name}" for name in ("0", "a", "b", "c", "p")}
+_MET_AGAIN = {
+    "object": [(_X["a"], _X["p"], _X["c"]), (_X["b"], _X["p"], _X["a"])],
+    "object before and after": [(_X["0"], _X["p"], _X["a"]),
+                                (_X["a"], _X["p"], _X["c"]),
+                                (_X["b"], _X["p"], _X["a"])],
+    "own object": [(_X["a"], _X["p"], _X["a"]), (_X["b"], _X["p"], _X["a"])],
+    "one of a set": [(_X["a"], _X["p"], _X["c"]), (_X["b"], _X["p"], _X["a"]),
+                     (_X["b"], _X["p"], _X["c"])],
+    "datatype": [(_X["a"], _X["p"], _X["c"]),
+                 (_X["b"], _X["p"], Literal("1", _X["a"]))],
+    "predicate": [(_X["a"], _X["p"], _X["c"]), (_X["b"], _X["a"], _X["c"])],
+    "verb, then object": [(_X["a"], _X["p"], _X["c"]),
+                          (_X["p"], _X["p"], _X["a"]),
+                          (_X["b"], _X["p"], _X["p"])],
+    "unprefixed": [("http://o/a", _X["p"], _X["c"]),
+                   (_X["b"], _X["p"], "http://o/a")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MET_AGAIN))
+@pytest.mark.parametrize("fmt", ["nt", "ttl"])
+def test_a_term_met_after_its_subject_block_writes_as_the_triple_path(
+        case, fmt):
+    graph = RdfGraph(prefixes={"ex": "http://x/"})
+    for triple in _MET_AGAIN[case]:
+        graph.add(*triple)
+    serialize, oracle = {
+        "nt": (serialize_ntriples, _ntriples_of_sorted_triples),
+        "ttl": (serialize_turtle, _turtle_by_prefix_loop)}[fmt]
+    text = serialize(graph)
+    assert text == oracle(graph)
+    out = StringIO()
+    assert serialize(graph, out) is None
+    assert out.getvalue() == text
+    assert list(parse_turtle(text)) == list(graph)
 
 
 # --- Literal as a tuple -------------------------------------------------------------
