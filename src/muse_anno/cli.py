@@ -91,7 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # A "+" positional ends at the first option, so inputs after one
+        # come back unparsed; parse_intermixed_args refuses subparsers.
+        args, rest = parser.parse_known_args(argv)
+        if rest:
+            if ("inputs" not in vars(args)
+                    or any(arg.startswith("-") for arg in rest)):
+                parser.error(f"unrecognized arguments: {' '.join(rest)}")
+            args.inputs += map(Path, rest)
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {"convert": cmd_convert, "validate": cmd_validate,

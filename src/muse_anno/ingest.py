@@ -1,8 +1,10 @@
 """JAMS ingestion: faithful parsing and lowering into the annotation model.
 
 Parsing keeps everything the file says: numbers arrive as Decimals with
-their source spelling, sandboxes and unknown keys ride along verbatim, and
-structural problems raise errors that name the exact JSON path.
+their source spelling, sandboxes ride along verbatim, every key a reader
+does not take stays in that object's ``extras`` (a curator's in
+``extras["curator"]`` of its annotation metadata), and structural
+problems raise errors that name the exact JSON path.
 
 Lowering closes the semantic gaps JAMS leaves open.  JAMS does not say
 whether annotations were made against a signal or a score, so the caller
@@ -162,11 +164,10 @@ def parse_jams(data: bytes | str) -> JamsDocument:
     if "\\" in text and _SURROGATE_ESCAPE_RE.search(text):
         _reject_lone_surrogates(text)
 
-    if not isinstance(raw, dict):
-        raise TypeMismatch("$", "object", raw)
-
-    file_metadata = _parse_file_metadata(_require(raw, "file_metadata", dict))
-    annotations_raw = _require(raw, "annotations", list)
+    rest = _object(raw, "$")
+    file_metadata = _parse_file_metadata(
+        _take(rest, "file_metadata", dict, "", required=True))
+    annotations_raw = _take(rest, "annotations", list, "", required=True)
     try:
         annotations = tuple(
             _parse_block(block, f"annotations[{i}]")
@@ -177,10 +178,8 @@ def parse_jams(data: bytes | str) -> JamsDocument:
         # Python code can recurse into, so canonicalising one (an observation
         # value or an annotator map) can overflow.
         raise _unlocated_json_error(text, _TOO_DEEP) from exc
-    sandbox = _optional(raw, "sandbox", dict, "sandbox") or {}
-    extras = {k: v for k, v in raw.items()
-              if k not in ("annotations", "file_metadata", "sandbox")}
-    return JamsDocument(file_metadata, annotations, sandbox, extras)
+    sandbox = _take(rest, "sandbox", dict, "") or {}
+    return JamsDocument(file_metadata, annotations, sandbox, rest)
 
 
 _TOO_DEEP = "arrays and objects nested too deeply"
@@ -231,127 +230,121 @@ def _json_error_at(text: str, where: int, message: str) -> MalformedJson:
     return MalformedJson(message, *line_column(text, where))
 
 
-def _require(obj: dict, key: str, expected: type, parent: str = "") -> object:
+def _take(rest: dict, key: str, expected, parent: str,
+          required: bool = False):
+    """Pop ``key`` from ``rest``, the keys of the JSON object at ``parent``
+    not read yet, and check its value.  ``expected`` is a type (which no
+    bool meets), a function ``(value, path)`` that returns the value read,
+    or None for any value.  A null reads as absent (None) unless the key
+    is required."""
     path = f"{parent}.{key}" if parent else key
-    if key not in obj:
-        raise MissingField(path)
-    value = obj[key]
-    if not isinstance(value, expected) or isinstance(value, bool):
-        raise TypeMismatch(path, expected.__name__, value)
-    return value
-
-
-def _optional(obj: dict, key: str, expected: type, path: str):
-    value = obj.get(key)
-    if value is None:
+    if key not in rest:
+        if required:
+            raise MissingField(path)
         return None
+    value = rest.pop(key)
+    if expected is None or value is None and not required:
+        return value
+    if not isinstance(expected, type):
+        return expected(value, path)
     if not isinstance(value, expected) or isinstance(value, bool):
         raise TypeMismatch(path, expected.__name__, value)
     return value
+
+
+def _object(raw: object, path: str) -> dict:
+    """A copy of JSON object ``raw`` for ``_take`` to read from."""
+    if not isinstance(raw, dict):
+        raise TypeMismatch(path, "object", raw)
+    return dict(raw)
+
+
+def _non_negative(value: object, path: str) -> Decimal:
+    return require_number(value, path, 0)
 
 
 def _parse_file_metadata(raw: dict) -> JamsFileMetadata:
-    known = ("jams_version", "title", "artist", "release", "duration",
-             "identifiers")
-    duration = None
-    if raw.get("duration") is not None:
-        duration = require_number(raw["duration"], "file_metadata.duration", 0)
+    rest = dict(raw)
+    parent = "file_metadata"
     return JamsFileMetadata(
-        jams_version=_optional(raw, "jams_version", str,
-                               "file_metadata.jams_version") or "",
-        title=_optional(raw, "title", str, "file_metadata.title") or "",
-        artist=_optional(raw, "artist", str, "file_metadata.artist") or "",
-        release=_optional(raw, "release", str, "file_metadata.release") or "",
-        duration=duration,
-        identifiers=_optional(raw, "identifiers", dict,
-                              "file_metadata.identifiers") or {},
-        extras={k: v for k, v in raw.items() if k not in known},
+        duration=_take(rest, "duration", _non_negative, parent),
+        jams_version=_take(rest, "jams_version", str, parent) or "",
+        title=_take(rest, "title", str, parent) or "",
+        artist=_take(rest, "artist", str, parent) or "",
+        release=_take(rest, "release", str, parent) or "",
+        identifiers=_take(rest, "identifiers", dict, parent) or {},
+        extras=rest,
     )
 
 
 def _parse_block(raw: object, path: str) -> JamsAnnotationBlock:
-    if not isinstance(raw, dict):
-        raise TypeMismatch(path, "object", raw)
-    namespace = raw.get("namespace")
-    if namespace is None:
-        raise MissingField(f"{path}.namespace")
-    if not isinstance(namespace, str) or not namespace:
-        raise TypeMismatch(f"{path}.namespace", "non-empty string", namespace)
-
+    rest = _object(raw, path)
+    namespace = _take(rest, "namespace", _namespace, path, required=True)
+    data = _take(rest, "data", list, path, required=True)
     rows = tuple(_parse_row(row, f"{path}.data[{j}]")
-                 for j, row in enumerate(_require(raw, "data", list, path)))
+                 for j, row in enumerate(data))
+    metadata = _parse_metadata(
+        _take(rest, "annotation_metadata", dict, path) or {},
+        f"{path}.annotation_metadata")
+    sandbox = _take(rest, "sandbox", dict, path) or {}
+    return JamsAnnotationBlock(namespace, rows, metadata, sandbox, rest)
 
-    metadata_raw = _optional(raw, "annotation_metadata", dict,
-                             f"{path}.annotation_metadata")
-    metadata = _parse_metadata(metadata_raw or {}, f"{path}.annotation_metadata")
-    sandbox = _optional(raw, "sandbox", dict, f"{path}.sandbox") or {}
-    extras = {k: v for k, v in raw.items()
-              if k not in ("namespace", "data", "annotation_metadata", "sandbox")}
-    return JamsAnnotationBlock(namespace, rows, metadata, sandbox, extras)
+
+def _namespace(value: object, path: str) -> str:
+    if value is None:
+        raise MissingField(path)
+    if not isinstance(value, str) or not value:
+        raise TypeMismatch(path, "non-empty string", value)
+    return value
 
 
 def _parse_row(raw: object, path: str) -> JamsObservationRow:
-    if not isinstance(raw, dict):
-        raise TypeMismatch(path, "object", raw)
-    for key in ("time", "duration", "value"):
-        if key not in raw:
-            raise MissingField(f"{path}.{key}")
-    time = require_number(raw["time"], f"{path}.time", 0)
-    duration = require_number(raw["duration"], f"{path}.duration", 0)
-    confidence = None
-    if raw.get("confidence") is not None:
-        confidence = require_number(raw["confidence"], f"{path}.confidence")
-    sandbox = _optional(raw, "sandbox", dict, f"{path}.sandbox") or {}
-    extras = {k: v for k, v in raw.items()
-              if k not in ("time", "duration", "value", "confidence", "sandbox")}
+    rest = _object(raw, path)
+    # All three must be there before any is checked.
+    time, duration, value = (_take(rest, key, None, path, required=True)
+                             for key in ("time", "duration", "value"))
     return JamsObservationRow(
-        time=time,
-        duration=duration,
-        value=_canonical_value(raw["value"]),
-        confidence=confidence,
-        sandbox=sandbox,
-        extras=extras,
+        time=_non_negative(time, f"{path}.time"),
+        duration=_non_negative(duration, f"{path}.duration"),
+        confidence=_take(rest, "confidence", require_number, path),
+        sandbox=_take(rest, "sandbox", dict, path) or {},
+        value=value if isinstance(value, str) else canonical_json(value),
+        extras=rest,
     )
 
 
-def _canonical_value(value: object) -> str:
-    return value if isinstance(value, str) else canonical_json(value)
-
-
-_METADATA_STRINGS = ("annotation_tools", "version", "corpus",
-                     "annotation_rules", "validation", "data_source")
-
-
 def _parse_metadata(raw: dict, path: str) -> JamsAnnotationMetadata:
-    curator = _optional(raw, "curator", dict, f"{path}.curator") or {}
-    curator_name = _optional(curator, "name", str, f"{path}.curator.name")
-    curator_email = _optional(curator, "email", str, f"{path}.curator.email")
-    annotator = _optional(raw, "annotator", dict, f"{path}.annotator") or {}
+    rest = dict(raw)
+    curator = dict(_take(rest, "curator", dict, path) or {})
+    curator_name = _take(curator, "name", str, f"{path}.curator")
+    curator_email = _take(curator, "email", str, f"{path}.curator")
+    if curator:
+        rest["curator"] = curator  # the curator's keys not read above
+    annotator = _take(rest, "annotator", dict, path) or {}
     if annotator:
         # Lowering keys annotators on this form; parse_jams locates an overflow.
         canonical_json(annotator)
-
-    fields: dict[str, str | None] = {}
-    for key in _METADATA_STRINGS:
-        value = raw.get(key)
-        if value is None:
-            fields[key] = None
-        elif isinstance(value, str):
-            fields[key] = value
-        elif isinstance(value, (int, Decimal)) and not isinstance(value, bool):
-            # JAMS in the wild writes e.g. "version": 1.0 as a number.
-            fields[key] = canonical_json(value)
-        else:
-            raise TypeMismatch(f"{path}.{key}", "string", value)
-
-    known = ("curator", "annotator") + _METADATA_STRINGS
     return JamsAnnotationMetadata(
         curator_name=curator_name,
         curator_email=curator_email,
         annotator=annotator,
-        extras={k: v for k, v in raw.items() if k not in known},
-        **fields,
+        annotation_tools=_take(rest, "annotation_tools", _string, path),
+        version=_take(rest, "version", _string, path),
+        corpus=_take(rest, "corpus", _string, path),
+        annotation_rules=_take(rest, "annotation_rules", _string, path),
+        validation=_take(rest, "validation", _string, path),
+        data_source=_take(rest, "data_source", _string, path),
+        extras=rest,
     )
+
+
+def _string(value: object, path: str) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, Decimal)) and not isinstance(value, bool):
+        # JAMS in the wild writes e.g. "version": 1.0 as a number.
+        return canonical_json(value)
+    raise TypeMismatch(path, "string", value)
 
 
 # --- modality hint -----------------------------------------------------------

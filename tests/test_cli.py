@@ -123,6 +123,31 @@ def test_a_missing_input_is_no_such_file(tmp_path, capsys_run):
         assert json.loads(err)["message"] == "no such file or directory"
 
 
+def test_inputs_may_follow_options(tmp_path, capsys_run):
+    code, out, err = capsys_run("validate", str(BOHEMIAN), "--modality",
+                                "audio", str(MICHELLE))
+    assert (code, out, err) == (0, "", "")
+    code, out, _ = capsys_run("convert", str(MICHELLE), "--format", "nt",
+                              str(BOHEMIAN), "-o", str(tmp_path))
+    assert code == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        ["bohemian_rhapsody.nt", "michelle.nt"]
+
+
+@pytest.mark.parametrize("argv, unrecognized", [
+    (["validate", str(BOHEMIAN), "--modality", "audio", str(MICHELLE),
+      "--bogus"], f"{MICHELLE} --bogus"),
+    (["stats", str(BOHEMIAN), "--pretty", "-"], "-"),
+    (["query", str(BOHEMIAN), "--cq", "1", str(MICHELLE)], str(MICHELLE)),
+])
+def test_unrecognized_arguments_stay_usage_errors(capsys, argv, unrecognized):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: "
+                                 f"{unrecognized}\n")
+
+
 def test_convert_usage_error_on_bad_format(capsys):
     # main() folds argparse's usage SystemExit into an exit code.
     assert main(["convert", "f.jams", "--format", "pdf"]) == 2
@@ -183,6 +208,29 @@ def test_validate_errors_exit_one(tmp_path, capsys_run):
     assert code == 1
     codes = [json.loads(line)["code"] for line in out.strip().splitlines()]
     assert codes == ["V10"]
+
+
+def test_convert_writes_nothing_for_a_file_with_errors_and_goes_on(
+        tmp_path, capsys_run):
+    bad = tmp_path / "a_bad_confidence.jams"
+    bad.write_bytes(BOHEMIAN.read_bytes().replace(
+        b'"confidence": 1.0', b'"confidence": 1.5', 1))
+    good = tmp_path / "b_michelle.jams"
+    good.write_bytes(MICHELLE.read_bytes())
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    kept = out_dir / "a_bad_confidence.ttl"
+    kept.write_bytes(b"earlier output\n")
+    code, out, err = capsys_run("convert", str(bad), str(good),
+                                "--modality", "audio", "-o", str(out_dir))
+    assert code == 1
+    [line] = err.splitlines()
+    violation = json.loads(line)
+    assert (violation["code"], violation["path"]) == ("V10", str(bad))
+    assert kept.read_bytes() == b"earlier output\n"
+    assert sorted(path.name for path in out_dir.iterdir()) == \
+        ["a_bad_confidence.ttl", "b_michelle.ttl"]
+    assert out == f"{out_dir / 'b_michelle.ttl'}\t57\n"
 
 
 def test_query_reports_the_violations_of_an_invalid_file(tmp_path, capsys_run):

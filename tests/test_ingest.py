@@ -79,6 +79,7 @@ def test_parse_fixture_annotation_metadata(bohemian_doc):
     assert md.annotation_rules == ""
     assert md.validation == ""
     assert md.data_source == ""
+    assert md.extras == {}  # the curator has only a name and an email
 
 
 def test_parse_round_trips_known_fields(bohemian_source, bohemian_doc):
@@ -349,6 +350,19 @@ def test_unknown_keys_preserved_in_extras():
     doc = parse_jams(text)
     assert doc.extras == {"custom_top": [1, 2]}
     assert doc.file_metadata.extras == {"octave": 7}
+
+
+def test_curator_keys_not_read_are_kept_in_metadata_extras():
+    block = ('{"namespace":"chord","data":[],"annotation_metadata":'
+             '{"curator":{"name":"Ann","email":"a@x.org","affiliation":"QMUL",'
+             '"orcid":null},"flavour":1}}')
+    doc = parse_jams(EMPTY_CORPUS.replace('"annotations":[]',
+                                          f'"annotations":[{block}]'))
+    metadata = doc.annotations[0].annotation_metadata
+    assert metadata.curator_name == "Ann"
+    assert metadata.curator_email == "a@x.org"
+    assert metadata.extras == {"flavour": 1, "curator": {"affiliation": "QMUL",
+                                                         "orcid": None}}
 
 
 def test_sandbox_round_trips_byte_identically():

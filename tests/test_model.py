@@ -50,6 +50,14 @@ def test_make_audio_index_zero():
     assert str(index.components[0].value) == "0.0"
 
 
+def test_factories_read_a_float_by_its_repr_and_refuse_a_non_number():
+    interval = audio_interval(0.459, 3.663)
+    assert interval.index.components[0].value == Decimal("0.459")
+    assert str(interval.duration.value) == "3.663"
+    with pytest.raises(ValueError, match="not a decimal: 'abc'"):
+        make_audio_index("abc")
+
+
 def test_make_score_index_orders_measure_then_beat():
     index = make_score_index(1, 1)
     assert [(str(c.value), c.value_type) for c in index.components] == \
