@@ -259,7 +259,7 @@ def cmd_convert(args) -> int:
 def cmd_validate(args) -> int:
     files, status = _input_files(args)
     return _each_file(args, files, status, lambda path, doc: _report(
-        args, None, _lower(args, path, doc)[1], sys.stdout))
+        args, path, _lower(args, path, doc)[1], sys.stdout))
 
 
 def cmd_query(args) -> int:

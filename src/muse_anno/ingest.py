@@ -4,7 +4,10 @@ Parsing keeps everything the file says: numbers arrive as Decimals with
 their source spelling, sandboxes ride along verbatim, every key a reader
 does not take stays in that object's ``extras`` (a curator's in
 ``extras["curator"]`` of its annotation metadata), and structural
-problems raise errors that name the exact JSON path.
+problems raise errors that name the exact JSON path.  Rows, thousands to
+a file, are read by one reader of their own rather than key by key, and
+a row's JSON paths are formatted only when an error is raised there; so
+are those of the sandbox keys score lowering reads.
 
 Lowering closes the semantic gaps JAMS leaves open.  JAMS does not say
 whether annotations were made against a signal or a score, so the caller
@@ -23,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .errors import (
@@ -47,15 +50,24 @@ from .model import (
     MusicAnnotation,
     MusicObservation,
     MusicalObjectRef,
+    MusicTimeDuration,
+    MusicTimeIndex,
+    MusicTimeIndexComponent,
+    MusicTimeInterval,
     MusicTimeValueType,
     ObjectKind,
     ObservationValue,
     ValueKind,
     audio_interval,
-    interval_end,
     score_interval,
 )
-from .util import canonical_json, int_digit_limit, line_column, require_number
+from .util import (
+    as_number,
+    canonical_json,
+    int_digit_limit,
+    line_column,
+    number_mismatch,
+)
 
 
 # --- document types ---------------------------------------------------------
@@ -260,7 +272,10 @@ def _object(raw: object, path: str) -> dict:
 
 
 def _non_negative(value: object, path: str) -> Decimal:
-    return require_number(value, path, 0)
+    number = as_number(value, 0)
+    if number is None:
+        raise number_mismatch(value, path, 0)
+    return number
 
 
 def _parse_file_metadata(raw: dict) -> JamsFileMetadata:
@@ -281,8 +296,7 @@ def _parse_block(raw: object, path: str) -> JamsAnnotationBlock:
     rest = _object(raw, path)
     namespace = _take(rest, "namespace", _namespace, path, required=True)
     data = _take(rest, "data", list, path, required=True)
-    rows = tuple(_parse_row(row, f"{path}.data[{j}]")
-                 for j, row in enumerate(data))
+    rows = tuple([_parse_row(row, path, j) for j, row in enumerate(data)])
     metadata = _parse_metadata(
         _take(rest, "annotation_metadata", dict, path) or {},
         f"{path}.annotation_metadata")
@@ -298,19 +312,37 @@ def _namespace(value: object, path: str) -> str:
     return value
 
 
-def _parse_row(raw: object, path: str) -> JamsObservationRow:
-    rest = _object(raw, path)
+def _parse_row(raw: object, block: str, j: int) -> JamsObservationRow:
+    """Row ``j`` of the block at ``block``: read as ``_take`` would, with
+    each JSON path formatted only to raise there."""
+    if not isinstance(raw, dict):
+        raise TypeMismatch(f"{block}.data[{j}]", "object", raw)
     # All three must be there before any is checked.
-    time, duration, value = (_take(rest, key, None, path, required=True)
-                             for key in ("time", "duration", "value"))
-    return JamsObservationRow(
-        time=_non_negative(time, f"{path}.time"),
-        duration=_non_negative(duration, f"{path}.duration"),
-        confidence=_take(rest, "confidence", require_number, path),
-        sandbox=_take(rest, "sandbox", dict, path) or {},
-        value=value if isinstance(value, str) else canonical_json(value),
-        extras=rest,
-    )
+    if "time" not in raw or "duration" not in raw or "value" not in raw:
+        missing = next(key for key in ("time", "duration", "value")
+                       if key not in raw)
+        raise MissingField(f"{block}.data[{j}].{missing}")
+    rest = dict(raw)
+    time = as_number(rest.pop("time"), 0)
+    duration = as_number(rest.pop("duration"), 0)
+    if time is None or duration is None:
+        key = "time" if time is None else "duration"
+        raise number_mismatch(raw[key], f"{block}.data[{j}].{key}", 0)
+    confidence = rest.pop("confidence", None)
+    if confidence is not None:
+        confidence = as_number(confidence)
+        if confidence is None:
+            raise number_mismatch(raw["confidence"],
+                                  f"{block}.data[{j}].confidence")
+    sandbox = rest.pop("sandbox", None)
+    if sandbox is None:
+        sandbox = {}
+    elif not isinstance(sandbox, dict):
+        raise TypeMismatch(f"{block}.data[{j}].sandbox", "dict", sandbox)
+    value = rest.pop("value")
+    if not isinstance(value, str):
+        value = canonical_json(value)
+    return JamsObservationRow(time, duration, value, confidence, sandbox, rest)
 
 
 def _parse_metadata(raw: dict, path: str) -> JamsAnnotationMetadata:
@@ -421,11 +453,39 @@ def _lower_block(block: JamsAnnotationBlock, i: int, object_disc: str,
     token = value_kind.namespace or value_kind.token  # a generic kind's namespace
     values: dict[str, ObservationValue] = {}  # one value object per label
     observations = []
+    modality = opts.modality
+    audio = modality is Modality.AUDIO
+    if audio:
+        seconds = MusicTimeValueType.SECONDS
+    else:
+        measure_type = MusicTimeValueType.MEASURE
+        beat_type = MusicTimeValueType.BEAT
+        measure_range = TIME_VALUE_RANGES[measure_type._value_]
+        beat_range = TIME_VALUE_RANGES[beat_type._value_]
+    # The span's first interval, from the least index (the first row of
+    # equal ones), and its latest end, both tracked row by row.
+    first = least = end = None
     for j, row in enumerate(block.data):
-        if opts.modality is Modality.AUDIO:
-            interval = audio_interval(row.time, row.duration)
+        if audio:
+            start = row.time
+            interval = MusicTimeInterval(
+                MusicTimeIndex((MusicTimeIndexComponent(start, seconds),)),
+                MusicTimeDuration(row.duration, seconds))
+            finish = start + row.duration
+            key = start
         else:
-            interval = score_interval(*_metrical_fields(row, i, j))
+            measure, start, beats = _metrical_fields(row, i, j, measure_range,
+                                                     beat_range)
+            interval = MusicTimeInterval(
+                MusicTimeIndex((MusicTimeIndexComponent(measure, measure_type),
+                                MusicTimeIndexComponent(start, beat_type))),
+                MusicTimeDuration(beats, beat_type))
+            finish = start + beats
+            key = (measure, start)
+        if first is None or key < least:
+            first, least = interval, key
+        if end is None or finish > end:
+            end = finish
         label = row.value
         value = values.get(label)
         if value is None:
@@ -433,20 +493,18 @@ def _lower_block(block: JamsAnnotationBlock, i: int, object_disc: str,
                                    key=("value", value_kind, label))
             value = values[label] = ObservationValue(value_id, value_kind, label)
         observations.append(MusicObservation(
-            id=row_root + str(j),
-            modality=opts.modality,
-            interval=interval,
-            value=value,
-            confidence=row.confidence,
-        ))
+            row_root + str(j), modality, interval, value, row.confidence))
 
-    return MusicAnnotation(
-        id=annotation_id,
-        modality=opts.modality,
-        annotator=annotator,
-        interval=_span(observations, opts.modality),
-        observations=tuple(observations),
-    )
+    if first is None:
+        span = (audio_interval(Decimal(0), Decimal(0)) if audio
+                else score_interval(1, Decimal(1), Decimal(0)))
+    else:
+        # From the first index to the latest end, in the last component's
+        # unit: for score a beat offset, dropping the measures in between.
+        span = MusicTimeInterval(first.index, MusicTimeDuration(
+            end - first.index.components[-1].value, first.duration.value_type))
+    return MusicAnnotation(annotation_id, modality, annotator, span,
+                           tuple(observations))
 
 
 def resolve_annotator(metadata: JamsAnnotationMetadata,
@@ -489,31 +547,26 @@ def _short_hash(text: str) -> str:
 
 
 def _metrical_fields(row: JamsObservationRow, i: int, j: int,
+                     measure_range: tuple, beat_range: tuple,
                      ) -> tuple[Decimal, Decimal, Decimal]:
-    path = f"annotations[{i}].data[{j}].sandbox"
+    """A score row's measure and beat, in their value types'
+    ``TIME_VALUE_RANGES``, and its duration in beats, from 0.  A JSON
+    path is formatted only to raise there."""
     sandbox = row.sandbox
-    for key in ("measure", "beat", "duration_beats"):
-        if key not in sandbox:
-            raise ScoreLoweringMissingMetricalTime(path, key)
-    measure = require_number(sandbox["measure"], f"{path}.measure",
-                             *TIME_VALUE_RANGES[MusicTimeValueType.MEASURE.value])
-    beat = require_number(sandbox["beat"], f"{path}.beat",
-                          *TIME_VALUE_RANGES[MusicTimeValueType.BEAT.value])
-    beats = require_number(sandbox["duration_beats"], f"{path}.duration_beats", 0)
-    return measure, beat, beats
-
-
-def _span(observations: list[MusicObservation], modality: Modality):
-    """From the least observation index, ``(seconds,)`` or ``(measure,
-    beat)``, with the first row's spelling of equal ones, to the latest
-    ``interval_end``.  For score that is a beat offset, so the span counts
-    beats from the start's beat and drops the measures in between."""
-    if not observations:
-        return (audio_interval(Decimal(0), Decimal(0))
-                if modality is Modality.AUDIO
-                else score_interval(1, Decimal(1), Decimal(0)))
-    first = min(observations, key=lambda obs: [
-        component.value for component in obs.interval.index.components]).interval
-    end = max(interval_end(obs.interval)[0] for obs in observations)
-    return replace(first, duration=replace(
-        first.duration, value=end - first.index.components[-1].value))
+    keys = ("measure", "beat", "duration_beats")
+    if ("measure" not in sandbox or "beat" not in sandbox
+            or "duration_beats" not in sandbox):
+        raise ScoreLoweringMissingMetricalTime(
+            f"annotations[{i}].data[{j}].sandbox",
+            next(key for key in keys if key not in sandbox))
+    fields = (as_number(sandbox["measure"], *measure_range),
+              as_number(sandbox["beat"], *beat_range),
+              as_number(sandbox["duration_beats"], 0))
+    if None in fields:
+        for key, number, bounds in zip(keys, fields,
+                                       (measure_range, beat_range, (0,))):
+            if number is None:
+                raise number_mismatch(
+                    sandbox[key], f"annotations[{i}].data[{j}].sandbox.{key}",
+                    *bounds)
+    return fields

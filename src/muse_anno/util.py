@@ -54,42 +54,45 @@ def int_digit_limit() -> int:
 MAX_EXPONENT = DefaultContext.Emax - 3
 
 
-def require_number(value: object, path: str, minimum: int | None = None,
-                   integral: bool = False) -> Decimal:
-    """Narrow a parsed JSON value to a finite Decimal that ``in_range``
-    accepts, or raise TypeMismatch.  Each failure of an ``integral`` number
-    names its whole range (``positive integer``)."""
-    dec = value
-    if isinstance(value, int) and not isinstance(value, bool):
-        dec = Decimal(value)
-    if not isinstance(dec, Decimal):
+def as_number(value: object, minimum: int | None = None,
+              integral: bool = False) -> Decimal | None:
+    """A parsed JSON number as a finite Decimal of at least ``minimum``
+    with no adjusted exponent above MAX_EXPONENT, or None for any other
+    value (a bool is no number).  An ``integral`` one must also be whole,
+    with no more digits than ``integer_lexical`` can write."""
+    if not isinstance(value, Decimal):
+        if not isinstance(value, int) or isinstance(value, bool):
+            return None
+        value = Decimal(value)
+    if not value.is_finite() or minimum is not None and value < minimum:
+        return None
+    magnitude = value.adjusted() if value else 0  # zero, even 0E+1000000
+    if magnitude > MAX_EXPONENT:
+        return None
+    if integral:
+        # Decimal operations only: int() of 1e1000000 alone runs for minutes.
+        limit = int_digit_limit()
+        if limit and magnitude >= limit or value != value.to_integral_value():
+            return None
+    return value
+
+
+def number_mismatch(value: object, path: str, minimum: int | None = None,
+                    integral: bool = False) -> TypeMismatch:
+    """The error for a value at ``path`` that ``as_number`` refuses.  Each
+    failure of an ``integral`` number names its whole range (``positive
+    integer``)."""
+    if integral:
+        expected = _range(minimum, integral)
+    elif not isinstance(value, (int, Decimal)) or isinstance(value, bool):
         expected = "number"
-    elif not dec.is_finite():
+    elif isinstance(value, Decimal) and not value.is_finite():
         expected = "finite number"
-    elif in_range(dec, minimum, integral):
-        return dec
-    elif minimum is not None and dec < minimum:
+    elif minimum is not None and value < minimum:
         expected = _range(minimum, integral)
     else:
         expected = f"number of magnitude below 1E+{MAX_EXPONENT + 1}"
-    raise TypeMismatch(path, _range(minimum, integral) if integral else expected,
-                       value)
-
-
-def in_range(dec: Decimal, minimum: int | None = None,
-             integral: bool = False) -> bool:
-    """Whether finite ``dec`` is at least ``minimum`` and has no adjusted
-    exponent above MAX_EXPONENT; an ``integral`` one must also be whole,
-    with no more digits than ``integer_lexical`` can write."""
-    if minimum is not None and dec < minimum:
-        return False
-    magnitude = dec.adjusted() if dec else 0  # zero, even 0E+1000000
-    if not integral:
-        return magnitude <= MAX_EXPONENT
-    # Decimal operations only: int() of 1e1000000 alone runs for minutes.
-    limit = int_digit_limit()
-    return (magnitude <= MAX_EXPONENT and not (limit and magnitude >= limit)
-            and dec == dec.to_integral_value())
+    return TypeMismatch(path, expected, value)
 
 
 def _range(minimum: int, integral: bool) -> str:

@@ -7,7 +7,7 @@ indices and the (Measure, Beat) shape of score indices, annotator and
 annotator-type cardinality, disjointness of entity identifiers, and the
 ranges of time values and confidences.  This is the one place a model's
 time values are checked: the model factories only build, and JAMS
-ingestion checks the same ranges (``util.in_range``) only to name a bad
+ingestion checks the same ranges (``util.as_number``) only to name a bad
 number's JSON path.  W-codes are advisory: they flag states the pattern
 tolerates but that usually indicate sloppy input.
 
@@ -31,7 +31,6 @@ from . import vocab
 from .errors import UnknownCode
 from .iri import component_iri, duration_iri, index_iri, interval_iri
 from .model import (
-    AUDIO_TIME_TYPES,
     TIME_VALUE_RANGES,
     AnnotationModel,
     Annotator,
@@ -40,7 +39,7 @@ from .model import (
     MusicTimeInterval,
     MusicTimeValueType,
 )
-from .util import in_range
+from .util import as_number
 
 
 class Severity(Enum):
@@ -177,12 +176,16 @@ def validate_model(model: AnnotationModel) -> list[Violation]:
     if model.subject is not None:
         claim(model.subject.id, "musical object")
     file_duration = model.file_duration
+    # Enum members bound once: reading one off its class is slow.
+    audio = Modality.AUDIO
+    score_index = [MusicTimeValueType.MEASURE, MusicTimeValueType.BEAT]
     for annotation in model.annotations:
         claim(annotation.id, "music annotation")
         _check_annotator(annotation.id, annotation.annotator, model.base_iri,
                          report, claim)
         _check_interval(annotation.id, annotation.interval,
-                        annotation.modality, report, claim)
+                        None if annotation.modality is audio else score_index,
+                        report, claim)
         if not annotation.observations:
             report("W2", annotation.id, "annotation contains no observations")
         for obs in annotation.observations:
@@ -192,8 +195,9 @@ def validate_model(model: AnnotationModel) -> list[Violation]:
                 report("V4", obs.id,
                        f"{obs.modality.value} observation inside a "
                        f"{annotation.modality.value} annotation")
-            end = _check_interval(obs.id, obs.interval, obs.modality,
-                                  report, claim)
+            end = _check_interval(
+                obs.id, obs.interval,
+                None if obs.modality is audio else score_index, report, claim)
             _check_confidence(obs.id, obs.confidence, report)
             if end is not None and file_duration is not None \
                     and end > file_duration:
@@ -221,11 +225,14 @@ def _check_annotator(annotation_id: str, annotator: object, base_iri: str,
         claim(vocab.annotator_type_iri(atype, base_iri), "annotator type")
 
 
-def _check_interval(owner_id: str, interval: object, modality: Modality,
+def _check_interval(owner_id: str, interval: object,
+                    score_index: list[MusicTimeValueType] | None,
                     report, claim) -> Decimal | None:
-    """Check an entity's interval; return its end in seconds when it is
-    well-formed (no V1, V2 or V3) with one component, a duration and
-    signal-time units, which is what W1 compares, else None."""
+    """Check an entity's interval: an audio one's when ``score_index`` is
+    None, else a score one's, whose index has these value types.  Return
+    its end in seconds when it is well-formed (no V1, V2 or V3) with one
+    component, a duration and signal-time units, which is what W1
+    compares, else None."""
     if not isinstance(interval, MusicTimeInterval):
         report("V1", owner_id, "entity has no music time interval")
         return None
@@ -254,21 +261,20 @@ def _check_interval(owner_id: str, interval: object, modality: Modality,
     if malformed:
         return None
 
-    types = [component.value_type for component in index.components]
-    if modality is Modality.AUDIO:
-        if len(types) != 1 or types[0] not in AUDIO_TIME_TYPES:
+    components = index.components
+    start = (_in_seconds(components[0].value, components[0].value_type)
+             if len(components) == 1 else None)
+    if score_index is None:
+        if start is None:  # not one component of a signal-time type
             report("V5", index_iri(owner_id),
                    "audio index must be a single Seconds/Milliseconds/Minutes "
                    "component")
-    else:
-        if types != [MusicTimeValueType.MEASURE, MusicTimeValueType.BEAT]:
-            report("V6", index_iri(owner_id),
-                   "score index must be (Measure, Beat)")
-    if duration is None or len(types) != 1:
+    elif [component.value_type for component in components] != score_index:
+        report("V6", index_iri(owner_id), "score index must be (Measure, Beat)")
+    if duration is None or start is None:
         return None
-    start = _in_seconds(index.components[0].value, types[0])
     length = _in_seconds(duration.value, duration.value_type)
-    return None if start is None or length is None else start + length
+    return None if length is None else start + length
 
 
 def _time_value_fault(part, role: str) -> str | None:
@@ -276,13 +282,14 @@ def _time_value_fault(part, role: str) -> str | None:
     decimal value and a value type, and the value in the type's range,
     where a duration's least value is 0."""
     value, value_type = part.value, part.value_type
-    if not (isinstance(value, Decimal) and value.is_finite()
-            and isinstance(value_type, MusicTimeValueType)):
-        return f"{role} needs exactly one finite value and one value type"
-    minimum, integral = TIME_VALUE_RANGES[value_type._value_]
-    if not in_range(value, 0 if role == "duration" else minimum, integral):
-        return f"{value_type.value} {role} value {value} is out of range"
-    return None
+    if isinstance(value, Decimal) and isinstance(value_type, MusicTimeValueType):
+        minimum, integral = TIME_VALUE_RANGES[value_type._value_]
+        if as_number(value, 0 if role == "duration" else minimum,
+                     integral) is not None:
+            return None
+        if value.is_finite():
+            return f"{value_type.value} {role} value {value} is out of range"
+    return f"{role} needs exactly one finite value and one value type"
 
 
 def _check_confidence(obs_id: str, confidence: Decimal | None, report) -> None:
@@ -293,14 +300,20 @@ def _check_confidence(obs_id: str, confidence: Decimal | None, report) -> None:
         report("V10", obs_id, f"confidence {confidence} outside [0, 1]")
 
 
+# Keyed by the enum value: looking a member up by itself would hash it in
+# Python code.
 _SECONDS_PER = {
-    MusicTimeValueType.SECONDS: Decimal(1),
-    MusicTimeValueType.MINUTES: Decimal(60),
+    MusicTimeValueType.SECONDS.value: Decimal(1),
+    MusicTimeValueType.MINUTES.value: Decimal(60),
 }
 
 
 def _in_seconds(value: Decimal, value_type: MusicTimeValueType) -> Decimal | None:
+    """``value`` in seconds, or None when ``value_type`` is no signal-time
+    type (``AUDIO_TIME_TYPES``)."""
+    factor = _SECONDS_PER.get(value_type._value_)
+    if factor is not None:
+        return value * factor
     if value_type is MusicTimeValueType.MILLISECONDS:
         return value / 1000
-    factor = _SECONDS_PER.get(value_type)
-    return None if factor is None else value * factor
+    return None

@@ -210,6 +210,23 @@ def test_validate_errors_exit_one(tmp_path, capsys_run):
     assert codes == ["V10"]
 
 
+def test_validate_lines_name_the_file_they_report(tmp_path, capsys_run):
+    row = ('{"annotations":[{"namespace":"chord","data":'
+           '[{"time":0.0,"duration":1.0,"value":"C","confidence":1.5}]}],'
+           '"file_metadata":{"title":"x","duration":10.0},"sandbox":{}}')
+    for name in ("a.jams", "b.jams"):
+        (tmp_path / name).write_text(row)
+    code, out, err = capsys_run("validate", str(tmp_path), "--modality", "audio")
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [(line["code"], line["path"]) for line in lines] == [
+        ("V10", str(tmp_path / "a.jams")), ("V10", str(tmp_path / "b.jams"))]
+    code, out, _ = capsys_run("validate", str(tmp_path), "--modality", "audio",
+                              "--pretty")
+    assert [line.split(": ", 1)[0] for line in out.splitlines()] == [
+        str(tmp_path / "a.jams"), str(tmp_path / "b.jams")]
+
+
 def test_convert_writes_nothing_for_a_file_with_errors_and_goes_on(
         tmp_path, capsys_run):
     bad = tmp_path / "a_bad_confidence.jams"

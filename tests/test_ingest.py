@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from muse_anno import (
     IriMinter,
+    JamsObservationRow,
     LoweringOptions,
     Modality,
+    MusicTimeInterval,
     MusicTimeValueType,
     ObjectKind,
     audio_interval,
@@ -36,6 +38,7 @@ from muse_anno.errors import (
 from muse_anno import ingest
 from muse_anno.util import canonical_json
 
+import reference_rows
 from conftest import FIXTURES
 
 EMPTY_CORPUS = ('{"annotations":[],"file_metadata":{"jams_version":"0.2.0",'
@@ -384,6 +387,491 @@ def test_non_string_values_stored_canonically():
     assert doc.annotations[0].data[0].value == '{"freq":440.0,"index":0}'
 
 
+# --- the row-error table -----------------------------------------------------
+
+# The row under test is annotations[1].data[2], after valid rows, so each
+# path it is reported at names both indices.
+_TABLE_ROW = {"time": "1", "duration": "2", "value": '"C"', "confidence": "0.5"}
+_TABLE_SANDBOX = {"measure": "1", "beat": "1", "duration_beats": "1"}
+
+
+def _table_object(fields: dict) -> str:
+    return "{" + ",".join(f'"{key}":{text}' for key, text in fields.items()
+                          if text is not None) + "}"
+
+
+def _table_document(edits: dict) -> str:
+    """The table's document with ``edits`` applied to the row under test:
+    ``key: JSON text`` sets a row key, ``"sandbox.<key>"`` a key of the
+    sandbox that score rows carry, a None text drops the key, and
+    ``"row"`` replaces the whole row."""
+    row = {key: text for key, text in edits.items() if "." not in key}
+    sandbox = {key.removeprefix("sandbox."): text
+               for key, text in edits.items() if key.startswith("sandbox.")}
+    valid = dict(_TABLE_ROW)
+    if sandbox:
+        valid["sandbox"] = _table_object(_TABLE_SANDBOX)
+        row.setdefault("sandbox", _table_object({**_TABLE_SANDBOX, **sandbox}))
+    tested = row.pop("row", None) or _table_object({**valid, **row})
+    valid = _table_object(valid)
+    return ('{"annotations":[{"namespace":"chord","data":[' + valid + "]},"
+            '{"namespace":"chord","data":[' + f"{valid},{valid},{tested}"
+            + ']}],"file_metadata":{"title":"t"},"sandbox":{}}')
+
+
+def _table_outcome(edits: dict) -> tuple[type, str]:
+    """The class and ``str()`` of the error reading the row raises, or the
+    row's class and fields (its score interval's class and values, when a
+    sandbox key was edited).  A text past 200 characters is given by its
+    digest."""
+    try:
+        doc = parse_jams(_table_document(edits))
+        row = doc.annotations[1].data[2]
+        result, parts = row, (row.time, row.duration, row.value,
+                              row.confidence, row.sandbox, row.extras)
+        if any(key.startswith("sandbox.") for key in edits):
+            model = lower_to_model(doc, LoweringOptions(modality=Modality.SCORE))
+            result = model.annotations[1].observations[2].interval
+            parts = (*(c.value for c in result.index.components),
+                     result.duration.value)
+        text = repr(parts)
+    except MuseAnnoError as exc:
+        result, text = exc, str(exc)
+    if len(text) > 200:
+        text = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+    return type(result), text
+
+
+# Recorded before the row reader stopped formatting paths it does not
+# raise at: each missing key and which of several is reported, wrong
+# types, out-of-range and huge numbers, non-string values and non-object
+# sandboxes, for every row key and every score sandbox key.
+_ROW_TABLE = [
+    ({'time': None}, MissingField,
+     'missing required field at annotations[1].data[2].time'),
+    ({'time': '"1"'}, TypeMismatch,
+     "expected number at annotations[1].data[2].time, got '1'"),
+    ({'time': 'true'}, TypeMismatch,
+     'expected number at annotations[1].data[2].time, got True'),
+    ({'time': 'null'}, TypeMismatch,
+     'expected number at annotations[1].data[2].time, got None'),
+    ({'time': '[1]'}, TypeMismatch,
+     'expected number at annotations[1].data[2].time, got [1]'),
+    ({'time': '-1'}, TypeMismatch,
+     'expected non-negative number at annotations[1].data[2].time, '
+     'got -1'),
+    ({'time': '-0.5'}, TypeMismatch,
+     'expected non-negative number at annotations[1].data[2].time, '
+     "got Decimal('-0.5')"),
+    ({'time': '1e1000000'}, TypeMismatch,
+     'expected number of magnitude below 1E+999997 at '
+     "annotations[1].data[2].time, got Decimal('1E+1000000')"),
+    ({'time': '{}'}, TypeMismatch,
+     'expected number at annotations[1].data[2].time, got {}'),
+    ({'duration': None}, MissingField,
+     'missing required field at annotations[1].data[2].duration'),
+    ({'duration': '"1"'}, TypeMismatch,
+     "expected number at annotations[1].data[2].duration, got '1'"),
+    ({'duration': 'true'}, TypeMismatch,
+     'expected number at annotations[1].data[2].duration, got True'),
+    ({'duration': 'null'}, TypeMismatch,
+     'expected number at annotations[1].data[2].duration, got None'),
+    ({'duration': '[1]'}, TypeMismatch,
+     'expected number at annotations[1].data[2].duration, got [1]'),
+    ({'duration': '-1'}, TypeMismatch,
+     'expected non-negative number at '
+     'annotations[1].data[2].duration, got -1'),
+    ({'duration': '-0.5'}, TypeMismatch,
+     'expected non-negative number at '
+     "annotations[1].data[2].duration, got Decimal('-0.5')"),
+    ({'duration': '1e1000000'}, TypeMismatch,
+     'expected number of magnitude below 1E+999997 at '
+     "annotations[1].data[2].duration, got Decimal('1E+1000000')"),
+    ({'duration': '{}'}, TypeMismatch,
+     'expected number at annotations[1].data[2].duration, got {}'),
+    ({'value': None}, MissingField,
+     'missing required field at annotations[1].data[2].value'),
+    ({'value': '"1"'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), '1', Decimal('0.5'), {}, {})"),
+    ({'value': 'true'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'true', Decimal('0.5'), {}, {})"),
+    ({'value': 'null'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'null', Decimal('0.5'), {}, {})"),
+    ({'value': '[1]'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), '[1]', Decimal('0.5'), {}, {})"),
+    ({'value': '-1'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), '-1', Decimal('0.5'), {}, {})"),
+    ({'value': '-0.5'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), '-0.5', Decimal('0.5'), {}, {})"),
+    ({'value': '1e1000000'}, JamsObservationRow,
+     'sha256:4c8cb9531d0f19f09b4f75f0c5002701'),
+    ({'value': '{}'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), '{}', Decimal('0.5'), {}, {})"),
+    ({'confidence': None}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', None, {}, {})"),
+    ({'confidence': '"1"'}, TypeMismatch,
+     'expected number at annotations[1].data[2].confidence, got '
+     "'1'"),
+    ({'confidence': 'true'}, TypeMismatch,
+     'expected number at annotations[1].data[2].confidence, got '
+     'True'),
+    ({'confidence': 'null'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', None, {}, {})"),
+    ({'confidence': '[1]'}, TypeMismatch,
+     'expected number at annotations[1].data[2].confidence, got '
+     '[1]'),
+    ({'confidence': '-1'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', Decimal('-1'), {}, {})"),
+    ({'confidence': '-0.5'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', Decimal('-0.5'), {}, {})"),
+    ({'confidence': '1e1000000'}, TypeMismatch,
+     'expected number of magnitude below 1E+999997 at '
+     "annotations[1].data[2].confidence, got Decimal('1E+1000000')"),
+    ({'confidence': '{}'}, TypeMismatch,
+     'expected number at annotations[1].data[2].confidence, got {}'),
+    ({'sandbox': None}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', Decimal('0.5'), {}, {})"),
+    ({'sandbox': '"1"'}, TypeMismatch,
+     "expected dict at annotations[1].data[2].sandbox, got '1'"),
+    ({'sandbox': 'true'}, TypeMismatch,
+     'expected dict at annotations[1].data[2].sandbox, got True'),
+    ({'sandbox': 'null'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', Decimal('0.5'), {}, {})"),
+    ({'sandbox': '[1]'}, TypeMismatch,
+     'expected dict at annotations[1].data[2].sandbox, got [1]'),
+    ({'sandbox': '-1'}, TypeMismatch,
+     'expected dict at annotations[1].data[2].sandbox, got -1'),
+    ({'sandbox': '-0.5'}, TypeMismatch,
+     'expected dict at annotations[1].data[2].sandbox, got '
+     "Decimal('-0.5')"),
+    ({'sandbox': '1e1000000'}, TypeMismatch,
+     'expected dict at annotations[1].data[2].sandbox, got '
+     "Decimal('1E+1000000')"),
+    ({'sandbox': '{}'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', Decimal('0.5'), {}, {})"),
+    ({'value': '{"b":1,"a":[1.50,null]}'}, JamsObservationRow,
+     '(Decimal(\'1\'), Decimal(\'2\'), \'{"a":[1.50,null],"b":1}\', '
+     "Decimal('0.5'), {}, {})"),
+    ({'value': '[1,"x"]'}, JamsObservationRow,
+     '(Decimal(\'1\'), Decimal(\'2\'), \'[1,"x"]\', Decimal(\'0.5\'), {}, '
+     '{})'),
+    ({'value': '2.50'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), '2.50', Decimal('0.5'), {}, {})"),
+    ({'confidence': '1.5'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', Decimal('1.5'), {}, {})"),
+    ({'confidence': '0'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', Decimal('0'), {}, {})"),
+    ({'time': '0.0', 'duration': '0E+2'}, JamsObservationRow,
+     "(Decimal('0.0'), Decimal('0E+2'), 'C', Decimal('0.5'), {}, "
+     '{})'),
+    ({'time': '1.0E-2'}, JamsObservationRow,
+     "(Decimal('0.010'), Decimal('2'), 'C', Decimal('0.5'), {}, "
+     '{})'),
+    ({'sandbox': '5'}, TypeMismatch,
+     'expected dict at annotations[1].data[2].sandbox, got 5'),
+    ({'sandbox': '"x"'}, TypeMismatch,
+     "expected dict at annotations[1].data[2].sandbox, got 'x'"),
+    ({'sandbox': '{}'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', Decimal('0.5'), {}, {})"),
+    ({'sandbox': '{"measure":1}'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', Decimal('0.5'), "
+     "{'measure': 1}, {})"),
+    ({'extra': '[1]'}, JamsObservationRow,
+     "(Decimal('1'), Decimal('2'), 'C', Decimal('0.5'), {}, "
+     "{'extra': [1]})"),
+    ({'time': '-0'}, JamsObservationRow,
+     "(Decimal('0'), Decimal('2'), 'C', Decimal('0.5'), {}, {})"),
+    ({'time': None, 'duration': None}, MissingField,
+     'missing required field at annotations[1].data[2].time'),
+    ({'duration': None, 'value': None}, MissingField,
+     'missing required field at annotations[1].data[2].duration'),
+    ({'time': None, 'value': None}, MissingField,
+     'missing required field at annotations[1].data[2].time'),
+    ({'time': None, 'duration': None, 'value': None}, MissingField,
+     'missing required field at annotations[1].data[2].time'),
+    ({'time': None, 'duration': '"x"'}, MissingField,
+     'missing required field at annotations[1].data[2].time'),
+    ({'duration': None, 'time': '"x"'}, MissingField,
+     'missing required field at annotations[1].data[2].duration'),
+    ({'value': None, 'time': '-1'}, MissingField,
+     'missing required field at annotations[1].data[2].value'),
+    ({'time': '"x"', 'duration': '-1'}, TypeMismatch,
+     "expected number at annotations[1].data[2].time, got 'x'"),
+    ({'duration': '-1', 'confidence': '[]'}, TypeMismatch,
+     'expected non-negative number at '
+     'annotations[1].data[2].duration, got -1'),
+    ({'confidence': 'true', 'sandbox': '5'}, TypeMismatch,
+     'expected number at annotations[1].data[2].confidence, got '
+     'True'),
+    ({'sandbox': '5', 'value': '[1]'}, TypeMismatch,
+     'expected dict at annotations[1].data[2].sandbox, got 5'),
+    ({'time': 'true', 'sandbox': '[]'}, TypeMismatch,
+     'expected number at annotations[1].data[2].time, got True'),
+    ({'row': '5'}, TypeMismatch,
+     'expected object at annotations[1].data[2], got 5'),
+    ({'row': '[1]'}, TypeMismatch,
+     'expected object at annotations[1].data[2], got [1]'),
+    ({'row': 'null'}, TypeMismatch,
+     'expected object at annotations[1].data[2], got None'),
+    ({'row': '"x"'}, TypeMismatch,
+     "expected object at annotations[1].data[2], got 'x'"),
+    ({'row': 'true'}, TypeMismatch,
+     'expected object at annotations[1].data[2], got True'),
+    ({'sandbox.measure': None}, ScoreLoweringMissingMetricalTime,
+     "score lowering needs sandbox key 'measure' at "
+     'annotations[1].data[2].sandbox'),
+    ({'sandbox.measure': '"1"'}, TypeMismatch,
+     'expected positive integer at '
+     "annotations[1].data[2].sandbox.measure, got '1'"),
+    ({'sandbox.measure': 'true'}, TypeMismatch,
+     'expected positive integer at '
+     'annotations[1].data[2].sandbox.measure, got True'),
+    ({'sandbox.measure': 'null'}, TypeMismatch,
+     'expected positive integer at '
+     'annotations[1].data[2].sandbox.measure, got None'),
+    ({'sandbox.measure': '[1]'}, TypeMismatch,
+     'expected positive integer at '
+     'annotations[1].data[2].sandbox.measure, got [1]'),
+    ({'sandbox.measure': '-1'}, TypeMismatch,
+     'expected positive integer at '
+     'annotations[1].data[2].sandbox.measure, got -1'),
+    ({'sandbox.measure': '-0.5'}, TypeMismatch,
+     'expected positive integer at '
+     "annotations[1].data[2].sandbox.measure, got Decimal('-0.5')"),
+    ({'sandbox.measure': '1e1000000'}, TypeMismatch,
+     'expected positive integer at '
+     'annotations[1].data[2].sandbox.measure, got '
+     "Decimal('1E+1000000')"),
+    ({'sandbox.measure': '{}'}, TypeMismatch,
+     'expected positive integer at '
+     'annotations[1].data[2].sandbox.measure, got {}'),
+    ({'sandbox.measure': '0'}, TypeMismatch,
+     'expected positive integer at '
+     'annotations[1].data[2].sandbox.measure, got 0'),
+    ({'sandbox.measure': '1.5'}, TypeMismatch,
+     'expected positive integer at '
+     "annotations[1].data[2].sandbox.measure, got Decimal('1.5')"),
+    ({'sandbox.measure': '0.5'}, TypeMismatch,
+     'expected positive integer at '
+     "annotations[1].data[2].sandbox.measure, got Decimal('0.5')"),
+    ({'sandbox.measure': '2.0'}, MusicTimeInterval,
+     "(Decimal('2.0'), Decimal('1'), Decimal('1'))"),
+    ({'sandbox.measure': '1E+2'}, MusicTimeInterval,
+     "(Decimal('1E+2'), Decimal('1'), Decimal('1'))"),
+    ({'sandbox.beat': None}, ScoreLoweringMissingMetricalTime,
+     "score lowering needs sandbox key 'beat' at "
+     'annotations[1].data[2].sandbox'),
+    ({'sandbox.beat': '"1"'}, TypeMismatch,
+     'expected number at annotations[1].data[2].sandbox.beat, got '
+     "'1'"),
+    ({'sandbox.beat': 'true'}, TypeMismatch,
+     'expected number at annotations[1].data[2].sandbox.beat, got '
+     'True'),
+    ({'sandbox.beat': 'null'}, TypeMismatch,
+     'expected number at annotations[1].data[2].sandbox.beat, got '
+     'None'),
+    ({'sandbox.beat': '[1]'}, TypeMismatch,
+     'expected number at annotations[1].data[2].sandbox.beat, got '
+     '[1]'),
+    ({'sandbox.beat': '-1'}, TypeMismatch,
+     'expected number >= 1 at annotations[1].data[2].sandbox.beat, '
+     'got -1'),
+    ({'sandbox.beat': '-0.5'}, TypeMismatch,
+     'expected number >= 1 at annotations[1].data[2].sandbox.beat, '
+     "got Decimal('-0.5')"),
+    ({'sandbox.beat': '1e1000000'}, TypeMismatch,
+     'expected number of magnitude below 1E+999997 at '
+     'annotations[1].data[2].sandbox.beat, got '
+     "Decimal('1E+1000000')"),
+    ({'sandbox.beat': '{}'}, TypeMismatch,
+     'expected number at annotations[1].data[2].sandbox.beat, got '
+     '{}'),
+    ({'sandbox.beat': '0'}, TypeMismatch,
+     'expected number >= 1 at annotations[1].data[2].sandbox.beat, '
+     'got 0'),
+    ({'sandbox.beat': '1.5'}, MusicTimeInterval,
+     "(Decimal('1'), Decimal('1.5'), Decimal('1'))"),
+    ({'sandbox.beat': '0.5'}, TypeMismatch,
+     'expected number >= 1 at annotations[1].data[2].sandbox.beat, '
+     "got Decimal('0.5')"),
+    ({'sandbox.beat': '2.0'}, MusicTimeInterval,
+     "(Decimal('1'), Decimal('2.0'), Decimal('1'))"),
+    ({'sandbox.beat': '1E+2'}, MusicTimeInterval,
+     "(Decimal('1'), Decimal('1E+2'), Decimal('1'))"),
+    ({'sandbox.duration_beats': None}, ScoreLoweringMissingMetricalTime,
+     "score lowering needs sandbox key 'duration_beats' at "
+     'annotations[1].data[2].sandbox'),
+    ({'sandbox.duration_beats': '"1"'}, TypeMismatch,
+     'expected number at '
+     "annotations[1].data[2].sandbox.duration_beats, got '1'"),
+    ({'sandbox.duration_beats': 'true'}, TypeMismatch,
+     'expected number at '
+     'annotations[1].data[2].sandbox.duration_beats, got True'),
+    ({'sandbox.duration_beats': 'null'}, TypeMismatch,
+     'expected number at '
+     'annotations[1].data[2].sandbox.duration_beats, got None'),
+    ({'sandbox.duration_beats': '[1]'}, TypeMismatch,
+     'expected number at '
+     'annotations[1].data[2].sandbox.duration_beats, got [1]'),
+    ({'sandbox.duration_beats': '-1'}, TypeMismatch,
+     'expected non-negative number at '
+     'annotations[1].data[2].sandbox.duration_beats, got -1'),
+    ({'sandbox.duration_beats': '-0.5'}, TypeMismatch,
+     'expected non-negative number at '
+     'annotations[1].data[2].sandbox.duration_beats, got '
+     "Decimal('-0.5')"),
+    ({'sandbox.duration_beats': '1e1000000'}, TypeMismatch,
+     'expected number of magnitude below 1E+999997 at '
+     'annotations[1].data[2].sandbox.duration_beats, got '
+     "Decimal('1E+1000000')"),
+    ({'sandbox.duration_beats': '{}'}, TypeMismatch,
+     'expected number at '
+     'annotations[1].data[2].sandbox.duration_beats, got {}'),
+    ({'sandbox.duration_beats': '0'}, MusicTimeInterval,
+     "(Decimal('1'), Decimal('1'), Decimal('0'))"),
+    ({'sandbox.duration_beats': '1.5'}, MusicTimeInterval,
+     "(Decimal('1'), Decimal('1'), Decimal('1.5'))"),
+    ({'sandbox.duration_beats': '0.5'}, MusicTimeInterval,
+     "(Decimal('1'), Decimal('1'), Decimal('0.5'))"),
+    ({'sandbox.duration_beats': '2.0'}, MusicTimeInterval,
+     "(Decimal('1'), Decimal('1'), Decimal('2.0'))"),
+    ({'sandbox.duration_beats': '1E+2'}, MusicTimeInterval,
+     "(Decimal('1'), Decimal('1'), Decimal('1E+2'))"),
+    ({'sandbox.measure': '1e4299'}, MusicTimeInterval,
+     "(Decimal('1E+4299'), Decimal('1'), Decimal('1'))"),
+    ({'sandbox.measure': '1e999996'}, TypeMismatch,
+     'expected positive integer at '
+     'annotations[1].data[2].sandbox.measure, got '
+     "Decimal('1E+999996')"),
+    ({'sandbox.beat': '1e999996'}, MusicTimeInterval,
+     "(Decimal('1'), Decimal('1E+999996'), Decimal('1'))"),
+    ({'sandbox.beat': '1e999997'}, TypeMismatch,
+     'expected number of magnitude below 1E+999997 at '
+     'annotations[1].data[2].sandbox.beat, got '
+     "Decimal('1E+999997')"),
+    ({'sandbox.measure': None, 'sandbox.beat': None},
+     ScoreLoweringMissingMetricalTime,
+     "score lowering needs sandbox key 'measure' at "
+     'annotations[1].data[2].sandbox'),
+    ({'sandbox.beat': None, 'sandbox.duration_beats': None},
+     ScoreLoweringMissingMetricalTime,
+     "score lowering needs sandbox key 'beat' at "
+     'annotations[1].data[2].sandbox'),
+    ({'sandbox.measure': None, 'sandbox.duration_beats': None},
+     ScoreLoweringMissingMetricalTime,
+     "score lowering needs sandbox key 'measure' at "
+     'annotations[1].data[2].sandbox'),
+    ({'sandbox.measure': None, 'sandbox.beat': None,
+      'sandbox.duration_beats': None},
+     ScoreLoweringMissingMetricalTime,
+     "score lowering needs sandbox key 'measure' at "
+     'annotations[1].data[2].sandbox'),
+    ({'sandbox.measure': '0', 'sandbox.beat': '0'}, TypeMismatch,
+     'expected positive integer at '
+     'annotations[1].data[2].sandbox.measure, got 0'),
+    ({'sandbox.beat': '"1"', 'sandbox.duration_beats': '-1'}, TypeMismatch,
+     'expected number at annotations[1].data[2].sandbox.beat, got '
+     "'1'"),
+    ({'sandbox.measure': None, 'sandbox.beat': 'true'},
+     ScoreLoweringMissingMetricalTime,
+     "score lowering needs sandbox key 'measure' at "
+     'annotations[1].data[2].sandbox'),
+    ({'sandbox.duration_beats': None, 'sandbox.measure': '0'},
+     ScoreLoweringMissingMetricalTime,
+     "score lowering needs sandbox key 'duration_beats' at "
+     'annotations[1].data[2].sandbox'),
+    ({'sandbox': 'null', 'sandbox.measure': '1'},
+     ScoreLoweringMissingMetricalTime,
+     "score lowering needs sandbox key 'measure' at "
+     'annotations[1].data[2].sandbox'),
+    ({'sandbox': '[1]', 'sandbox.measure': '1'}, TypeMismatch,
+     'expected dict at annotations[1].data[2].sandbox, got [1]'),
+    ({'sandbox': '5', 'sandbox.measure': '1'}, TypeMismatch,
+     'expected dict at annotations[1].data[2].sandbox, got 5'),
+]
+
+
+@pytest.mark.parametrize("edits, expected, text", _ROW_TABLE)
+def test_row_reading_keeps_its_pinned_outcome(edits, expected, text):
+    assert _table_outcome(edits) == (expected, text)
+
+
+# --- the row reader against its reference ------------------------------------
+
+# Any JSON value, as text: integers and decimals around the bounds, with
+# exponents up to past the largest one allowed, and every other type.
+_json_value = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.builds(lambda digits, fraction, exponent: f"{digits}{fraction}e{exponent}",
+              st.integers(-2, 99), st.sampled_from(["", ".0", ".5", ".25"]),
+              st.integers(-12, 12) | st.sampled_from(
+                  [-1000000, 4299, 4300, 999996, 999997, 1000000])),
+    st.sampled_from(["true", "false", "null", '""', '"1"', '"C:maj"', "[]",
+                     "[1, 2.50]", "{}", '{"b":1,"a":[null]}', "1.0", "-0",
+                     "0.0", "1E+2", "-0.5"]))
+_metrical_sandbox = st.dictionaries(
+    st.sampled_from(["measure", "beat", "duration_beats", "key"]), _json_value)
+
+
+def _json_object(fields: dict) -> str:
+    return "{" + ",".join(f'"{key}":{text}' for key, text in fields.items()) + "}"
+
+
+def _read(call):
+    """What ``call`` returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except MuseAnnoError as exc:
+        return type(exc), str(exc)
+
+
+def _rows_document(*rows: str) -> str:
+    return EMPTY_CORPUS.replace(
+        '"annotations":[]',
+        '"annotations":[{"namespace":"chord","data":[' + ",".join(rows) + "]}]")
+
+
+_VALID_ROW = ('{"time":0,"duration":0,"value":"C","sandbox":'
+              '{"measure":1,"beat":1,"duration_beats":1}}')
+
+
+@given(st.one_of(
+    st.dictionaries(
+        st.sampled_from(["time", "duration", "value", "confidence", "sandbox",
+                         "key"]),
+        st.one_of(_json_value, _metrical_sandbox.map(_json_object))
+    ).map(_json_object),
+    _json_value))
+@settings(max_examples=600)
+def test_row_reader_reads_rows_as_the_take_reference(row):
+    expected = _read(lambda: reference_rows.parse_row(
+        json.loads(row, parse_float=Decimal), "annotations[0].data[1]"))
+    got = _read(lambda: parse_jams(
+        _rows_document(_VALID_ROW, row)).annotations[0].data[1])
+    assert got == expected
+    assert repr(got) == repr(expected)  # spellings, extras and their order
+
+
+@given(_metrical_sandbox)
+@settings(max_examples=600)
+def test_score_lowering_reads_sandboxes_as_the_reference(sandbox):
+    doc = parse_jams(_rows_document(
+        _VALID_ROW, '{"time":0,"duration":0,"value":"C","sandbox":'
+        + _json_object(sandbox) + "}"))
+    expected = _read(lambda: reference_rows.metrical_fields(
+        doc.annotations[0].data[1], 0, 1))
+
+    def lowered():
+        model = lower_to_model(doc, LoweringOptions(modality=Modality.SCORE))
+        interval = model.annotations[0].observations[1].interval
+        return (*(c.value for c in interval.index.components),
+                interval.duration.value)
+
+    got = _read(lowered)
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
 # --- modality hint -----------------------------------------------------------
 
 def test_hint_audio_for_audio_fixture(bohemian_doc):
@@ -667,7 +1155,7 @@ def test_audio_lowering_preserves_counts_and_confidence(raw):
 
 # --- lowering against the row-level synthesizers -------------------------------
 
-# The annotation interval synthesizers that ``ingest._span`` replaced, kept
+# The annotation interval synthesizers that lowering once used, kept
 # as oracles: they work from the rows, not from the observations built.
 def _synth_audio_interval(rows):
     if not rows:
@@ -723,7 +1211,7 @@ def test_lowering_spans_match_the_row_synthesizers(title, blocks):
                 oracle = _synth_audio_interval(block.data)
             else:
                 oracle = _synth_score_interval([
-                    ingest._metrical_fields(row, i, j)
+                    reference_rows.metrical_fields(row, i, j)
                     for j, row in enumerate(block.data)])
             assert annotation.interval == oracle
             assert _terms(annotation.interval) == _terms(oracle)
