@@ -162,16 +162,18 @@ def _graph_frame(graph: RdfGraph, roots: list[str]) -> Iterator[_Row]:
 
 
 def _cq1_graph(graph: RdfGraph, roots: list[str]) -> Iterator[_Row]:
+    value_of, types_of = graph.value, graph.types_of
     for obj in roots:
         for ann in graph.objects(obj, vocab.HAS_MUSIC_ANNOTATION):
             if not isinstance(ann, str):
                 continue
             kinds = set()
-            for obs in graph.objects(ann, vocab.INCLUDES_MUSIC_OBSERVATION):
-                value = graph.value(obs, vocab.HAS_MUSIC_OBSERVATION_VALUE)
+            # Many observations share a value: read each value's types once.
+            for value in {value_of(obs, vocab.HAS_MUSIC_OBSERVATION_VALUE) for obs
+                          in graph.objects(ann, vocab.INCLUDES_MUSIC_OBSERVATION)}:
                 if isinstance(value, str):
-                    kinds.update(graph.types_of(value))
-            for ann_type in graph.types_of(ann) or ("",):
+                    kinds.update(types_of(value))
+            for ann_type in types_of(ann) or ("",):
                 for kind in kinds or ("",):
                     yield obj, ann, ann_type, kind
 
@@ -186,12 +188,17 @@ def _cq7_graph(graph: RdfGraph, roots: list[str]) -> Iterator[_Row]:
 
 
 def _cq8_graph(graph: RdfGraph, roots: list[str]) -> Iterator[_Row]:
+    value_of = graph.value
+    cells: dict[str, _Row] = {}  # each annotator's cells, read once
     for entity in roots:
-        annotator = graph.value(entity, vocab.HAS_ANNOTATOR)
+        annotator = value_of(entity, vocab.HAS_ANNOTATOR)
         if isinstance(annotator, str):
-            yield (entity, annotator,
-                   _lex(graph.value(annotator, vocab.RDFS_LABEL)),
-                   _lex(graph.value(annotator, vocab.HAS_ANNOTATOR_TYPE)))
+            found = cells.get(annotator)
+            if found is None:
+                found = cells[annotator] = (
+                    annotator, _lex(value_of(annotator, vocab.RDFS_LABEL)),
+                    _lex(value_of(annotator, vocab.HAS_ANNOTATOR_TYPE)))
+            yield (entity, *found)
 
 
 # --- model path (the testing oracle) ------------------------------------------
@@ -210,14 +217,31 @@ _MODEL_ROOTS = {
 }
 
 
+# The model that a subject was last looked up in, with an id -> root map
+# per root kind, each built when first needed; so asking about every
+# entity of one model in turn scans it once per kind, not once per call.
+# A model is immutable, so the maps hold while the same object is asked.
+_roots_by_id: tuple[AnnotationModel | None, dict[str, dict]] = (None, {})
+
+
 def _model_roots(model: AnnotationModel, kind: str, subject: str | None) -> list:
-    roots = _MODEL_ROOTS[kind](model)
     if subject is None:
-        return roots
-    for root in roots:
-        if (root[0] if isinstance(root, tuple) else root).id == subject:
-            return [root]
-    raise SubjectNotFound(subject, kind)
+        return _MODEL_ROOTS[kind](model)
+    global _roots_by_id
+    indexed, maps = _roots_by_id
+    if indexed is not model:
+        maps = {}
+        _roots_by_id = model, maps
+    by_id = maps.get(kind)
+    if by_id is None:
+        # Reversed, so that of two roots with one id the first is kept.
+        by_id = maps[kind] = {
+            (root[0] if isinstance(root, tuple) else root).id: root
+            for root in reversed(_MODEL_ROOTS[kind](model))}
+    root = by_id.get(subject)
+    if root is None:
+        raise SubjectNotFound(subject, kind)
+    return [root]
 
 
 def _model_start(model: AnnotationModel, roots: list,
@@ -241,10 +265,11 @@ def _model_frame(model: AnnotationModel, roots: list) -> Iterator[_Row]:
 def _cq1_model(model: AnnotationModel, roots: list) -> Iterator[_Row]:
     for obj in roots:
         for ann in model.annotations:
+            ann_type = vocab.annotation_class(ann.modality)
             kinds = {vocab.value_class_iri(obs.value.kind)
                      for obs in ann.observations}
             for kind in kinds or ("",):
-                yield obj.id, ann.id, vocab.annotation_class(ann.modality), kind
+                yield obj.id, ann.id, ann_type, kind
 
 
 def _cq8_model(model: AnnotationModel, roots: list) -> Iterator[_Row]:

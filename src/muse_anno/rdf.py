@@ -3,7 +3,10 @@
 The graph stores its triples subject -> predicate -> objects, with a
 prefix map and a hash index by predicate and object that the first
 lookup needing it builds and ``add`` drops, so building a graph pays
-nothing for the index and a query never scans.  ``add`` takes one
+nothing for the index and a query never scans.  The index also keeps,
+per predicate, the sorted list of all its subjects, made by the first
+``subjects(predicate)`` call without an object, so that a graph-wide
+question asked again does not sort them again.  ``add`` takes one
 triple; the emitter writes each node it mints with ``_describe``, whose
 dict of single-valued pairs the graph keeps.  A graph is read through
 ``objects``, ``value``, ``subjects`` and ``types_of``, or enumerated
@@ -36,7 +39,7 @@ again, by a regex with a named group per kind, to locate and classify it.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import chain, islice
 from operator import length_hint
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -74,6 +77,11 @@ def _each(objects: Term | set[Term]) -> set[Term] | tuple[Term]:
     return objects if isinstance(objects, set) else (objects,)
 
 
+# The fallback of a lookup whose key is missing, shared so that a lookup
+# builds no dict; nothing writes into it.
+_EMPTY: dict = {}
+
+
 class RdfGraph:
     """Triples stored subject -> predicate -> objects, plus a prefix map;
     equality is equality of the triple sets and the prefix maps.
@@ -82,8 +90,10 @@ class RdfGraph:
     object, as nearly every pair does, and a set from the second on, so
     ``add`` builds no triple and the serializers walk the sorted map.  The
     first lookup that needs them builds predicate -> object -> sorted
-    subjects and the multi-valued pairs' objects in N-Triples order, which
-    ``add`` drops; lookups answer as a scan of the sorted triples would.
+    subjects and the multi-valued pairs' objects in N-Triples order; each
+    predicate's sorted distinct subjects join them when first asked for.
+    ``add`` drops all three, and lookups answer as a scan of the sorted
+    triples would.
     """
 
     def __init__(self, prefixes: dict[str, str] | None = None):
@@ -133,7 +143,7 @@ class RdfGraph:
         return self._count
 
     def __contains__(self, triple: Triple) -> bool:
-        objects = self._spo.get(triple[0], {}).get(triple[1])
+        objects = self._spo.get(triple[0], _EMPTY).get(triple[1])
         return objects is not None and triple[2] in _each(objects)
 
     def __eq__(self, other: object) -> bool:
@@ -142,7 +152,11 @@ class RdfGraph:
         return self._spo == other._spo and self.prefixes == other.prefixes
 
     def _lookup(self) -> tuple[dict[str, dict[Term, list[str]]],
-                               dict[tuple[str, str], list[Term]]]:
+                               dict[tuple[str, str], list[Term]],
+                               dict[str, list[str]]]:
+        """predicate -> object -> sorted subjects, each multi-valued
+        pair's objects in N-Triples order, and predicate -> sorted
+        distinct subjects, which ``subjects`` fills on demand."""
         if self._index is None:
             by_predicate, ordered = {}, {}
             # Subjects in order, so that every subject list comes sorted.
@@ -153,26 +167,33 @@ class RdfGraph:
                     by_object = by_predicate.setdefault(p, {})
                     for o in objects if isinstance(objects, list) else (objects,):
                         by_object.setdefault(o, []).append(s)
-            self._index = by_predicate, ordered
+            self._index = by_predicate, ordered, {}
         return self._index
 
     def objects(self, subject: str, predicate: str) -> list[Term]:
-        objects = self._spo.get(subject, {}).get(predicate)
+        objects = self._spo.get(subject, _EMPTY).get(predicate)
         if isinstance(objects, set):
             return list(self._lookup()[1][subject, predicate])
         return [] if objects is None else [objects]
 
     def value(self, subject: str, predicate: str) -> Term | None:
-        objects = self._spo.get(subject, {}).get(predicate)
+        objects = self._spo.get(subject, _EMPTY).get(predicate)
         if isinstance(objects, set):
             return self._lookup()[1][subject, predicate][0]
         return objects
 
     def subjects(self, predicate: str, obj: Term | None = None) -> list[str]:
-        objects = self._lookup()[0].get(predicate, {})
+        by_predicate, _, distinct = self._lookup()
+        objects = by_predicate.get(predicate, _EMPTY)
         if obj is not None:
             return list(objects.get(obj, ()))
-        return sorted({s for subjects in objects.values() for s in subjects})
+        found = distinct.get(predicate)
+        if found is None:
+            # Each object's list is sorted, so the sort merges runs; a
+            # subject with several objects is met once per object.
+            found = distinct[predicate] = list(dict.fromkeys(
+                sorted(chain.from_iterable(objects.values()))))
+        return list(found)
 
     def types_of(self, subject: str) -> list[str]:
         return [o for o in self.objects(subject, vocab.RDF_TYPE)
@@ -231,12 +252,14 @@ def _emit_annotation(graph: RdfGraph, annotation: MusicAnnotation,
     add(annotator.id, vocab.HAS_ANNOTATOR_TYPE,
         vocab.annotator_type_iri(annotator.annotator_type, base_iri))
 
+    # V4 keeps every observation to its annotation's modality.
+    obs_class = vocab.observation_class(annotation.modality)
     for obs in annotation.observations:
         add(annotation.id, vocab.INCLUDES_MUSIC_OBSERVATION, obs.id)
         value = obs.value
         interval = _emit_interval(graph, obs.id, obs.interval)
         # Materialized property chain: isAnnotatorOf o includesMusicObservation.
-        pairs = {vocab.RDF_TYPE: vocab.observation_class(obs.modality),
+        pairs = {vocab.RDF_TYPE: obs_class,
                  vocab.HAS_ANNOTATOR: annotator.id,
                  vocab.HAS_MUSIC_TIME_INTERVAL: interval,
                  vocab.HAS_MUSIC_OBSERVATION_VALUE: value.id}

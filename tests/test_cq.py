@@ -346,3 +346,65 @@ def test_each_documented_query_projects_the_question_columns():
         projected = select.group(1).split()
         assert all(re.fullmatch(r"\?\w+", v) for v in projected), projected
         assert len(projected) == len(_QUESTIONS[cq].columns), f"CQ{cq}"
+
+
+# Every link the graph-wide CQ1 and CQ8 walks read as single-valued has two
+# objects somewhere here, written out of N-Triples order, and annotators and
+# values are shared.  Where a pattern expects one object the answer uses the
+# first in N-Triples order: a literal sorts before every IRI, so ex:o3's
+# annotator and value are literals and it has no CQ7 or CQ8 rows.
+SEVERAL_OBJECTS_TTL = """\
+@prefix map: <https://purl.org/andreapoltronieri/music-annotation-pattern#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix ex: <http://example.org/> .
+ex:track a map:Track ; map:hasMusicAnnotation ex:a1 , ex:a2 .
+ex:a1 a map:AudioMusicAnnotation ; map:hasAnnotator ex:q , ex:p ;
+    map:includesMusicObservation ex:o1 , ex:o2 , ex:o3 .
+ex:a2 a map:ScoreMusicAnnotation ; map:hasAnnotator ex:p ;
+    map:includesMusicObservation ex:o4 .
+ex:o1 a map:AudioMusicObservation ; map:hasAnnotator ex:q , ex:p ;
+    map:hasMusicObservationValue ex:v2 , ex:v1 .
+ex:o2 a map:AudioMusicObservation ; map:hasAnnotator ex:p ;
+    map:hasMusicObservationValue ex:v1 .
+ex:o3 a map:AudioMusicObservation ; map:hasAnnotator ex:q , "nobody" ;
+    map:hasMusicObservationValue ex:v3 , "lost" .
+ex:o4 a map:ScoreMusicObservation ; map:hasAnnotator ex:q ;
+    map:hasMusicObservationValue ex:v1 .
+ex:p rdfs:label "Zed" , "Ann" ; map:hasAnnotatorType map:Machine , map:Human .
+ex:q rdfs:label "Q" .
+ex:v1 a map:Segment , map:Chord ; rdfs:label "C" , "B" .
+ex:v2 a map:MusicObservationValue .
+ex:v3 a ex:Stray .
+"""
+
+
+def _ex(*names: str) -> tuple[str, ...]:
+    return tuple("http://example.org/" + name for name in names)
+
+
+def test_a_link_with_several_objects_answers_with_its_first():
+    graph = parse_turtle(SEVERAL_OBJECTS_TTL)
+    track, a1, a2, o1, o2, o3, o4, p, q, v1 = _ex(
+        "track", "a1", "a2", "o1", "o2", "o3", "o4", "p", "q", "v1")
+    cq1 = ((track, a1, vocab.AUDIO_MUSIC_ANNOTATION, vocab.CHORD),
+           (track, a1, vocab.AUDIO_MUSIC_ANNOTATION, vocab.SEGMENT),
+           (track, a2, vocab.SCORE_MUSIC_ANNOTATION, vocab.CHORD),
+           (track, a2, vocab.SCORE_MUSIC_ANNOTATION, vocab.SEGMENT))
+    assert answer_cq(1, graph).rows == cq1
+    assert answer_cq(1, graph, track).rows == cq1
+    cq7 = {o1: ((o1, v1, vocab.CHORD, "B"), (o1, v1, vocab.SEGMENT, "B")),
+           o2: ((o2, v1, vocab.CHORD, "B"), (o2, v1, vocab.SEGMENT, "B")),
+           o3: (),
+           o4: ((o4, v1, vocab.CHORD, "B"), (o4, v1, vocab.SEGMENT, "B"))}
+    for obs, rows in cq7.items():
+        assert answer_cq(7, graph, obs).rows == rows, obs
+    cq8 = {a1: ((a1, p, "Ann", vocab.HUMAN),),
+           a2: ((a2, p, "Ann", vocab.HUMAN),),
+           o1: ((o1, p, "Ann", vocab.HUMAN),),
+           o2: ((o2, p, "Ann", vocab.HUMAN),),
+           o3: (),
+           o4: ((o4, q, "Q", ""),)}
+    assert answer_cq(8, graph).rows == tuple(
+        row for rows in cq8.values() for row in rows)
+    for entity, rows in cq8.items():
+        assert answer_cq(8, graph, entity).rows == rows, entity

@@ -347,6 +347,9 @@ def _assert_graph_matches(graph: RdfGraph, oracle: set[Triple]) -> None:
     for p in _PREDICATES:
         for o in [None, *_TERMS]:
             subjects = list(dict.fromkeys(t.subject for t in scan(None, p, o)))
+            found = graph.subjects(p, o)
+            assert found == subjects
+            found.clear()  # the caller's own list: the next answer is whole
             assert graph.subjects(p, o) == subjects
 
 
