@@ -89,7 +89,12 @@ def answer_cq(cq_id: int, graph: RdfGraph, subject: str | None = None) -> CqResu
 
 def oracle_cq(cq_id: int, model: AnnotationModel,
               subject: str | None = None) -> CqResult:
-    """Answer a competency question by direct model traversal, no graph."""
+    """Answer a competency question by direct model traversal, no graph.
+
+    With a subject, the lookup keeps an id -> entity map of the last model
+    it was given, so that model stays in memory until another is asked
+    about.
+    """
     question = _question(cq_id, subject)
     roots = _model_roots(model, question.root, subject)
     return CqResult(cq_id, question.columns,

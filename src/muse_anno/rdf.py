@@ -3,10 +3,7 @@
 The graph stores its triples subject -> predicate -> objects, with a
 prefix map and a hash index by predicate and object that the first
 lookup needing it builds and ``add`` drops, so building a graph pays
-nothing for the index and a query never scans.  The index also keeps,
-per predicate, the sorted list of all its subjects, made by the first
-``subjects(predicate)`` call without an object, so that a graph-wide
-question asked again does not sort them again.  ``add`` takes one
+nothing for the index and a query never scans.  ``add`` takes one
 triple; the emitter writes each node it mints with ``_describe``, whose
 dict of single-valued pairs the graph keeps.  A graph is read through
 ``objects``, ``value``, ``subjects`` and ``types_of``, or enumerated
@@ -90,10 +87,8 @@ class RdfGraph:
     object, as nearly every pair does, and a set from the second on, so
     ``add`` builds no triple and the serializers walk the sorted map.  The
     first lookup that needs them builds predicate -> object -> sorted
-    subjects and the multi-valued pairs' objects in N-Triples order; each
-    predicate's sorted distinct subjects join them when first asked for.
-    ``add`` drops all three, and lookups answer as a scan of the sorted
-    triples would.
+    subjects and the multi-valued pairs' objects in N-Triples order, which
+    ``add`` drops; lookups answer as a scan of the sorted triples would.
     """
 
     def __init__(self, prefixes: dict[str, str] | None = None):
@@ -152,11 +147,7 @@ class RdfGraph:
         return self._spo == other._spo and self.prefixes == other.prefixes
 
     def _lookup(self) -> tuple[dict[str, dict[Term, list[str]]],
-                               dict[tuple[str, str], list[Term]],
-                               dict[str, list[str]]]:
-        """predicate -> object -> sorted subjects, each multi-valued
-        pair's objects in N-Triples order, and predicate -> sorted
-        distinct subjects, which ``subjects`` fills on demand."""
+                               dict[tuple[str, str], list[Term]]]:
         if self._index is None:
             by_predicate, ordered = {}, {}
             # Subjects in order, so that every subject list comes sorted.
@@ -167,7 +158,7 @@ class RdfGraph:
                     by_object = by_predicate.setdefault(p, {})
                     for o in objects if isinstance(objects, list) else (objects,):
                         by_object.setdefault(o, []).append(s)
-            self._index = by_predicate, ordered, {}
+            self._index = by_predicate, ordered
         return self._index
 
     def objects(self, subject: str, predicate: str) -> list[Term]:
@@ -183,17 +174,12 @@ class RdfGraph:
         return objects
 
     def subjects(self, predicate: str, obj: Term | None = None) -> list[str]:
-        by_predicate, _, distinct = self._lookup()
-        objects = by_predicate.get(predicate, _EMPTY)
+        objects = self._lookup()[0].get(predicate, _EMPTY)
         if obj is not None:
             return list(objects.get(obj, ()))
-        found = distinct.get(predicate)
-        if found is None:
-            # Each object's list is sorted, so the sort merges runs; a
-            # subject with several objects is met once per object.
-            found = distinct[predicate] = list(dict.fromkeys(
-                sorted(chain.from_iterable(objects.values()))))
-        return list(found)
+        # Each object's list is sorted, so the sort merges runs; a subject
+        # with several objects is met once per object.
+        return list(dict.fromkeys(sorted(chain.from_iterable(objects.values()))))
 
     def types_of(self, subject: str) -> list[str]:
         return [o for o in self.objects(subject, vocab.RDF_TYPE)
