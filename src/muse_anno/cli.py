@@ -123,7 +123,11 @@ class _UsageError(Exception):
 
 
 def _base_iri(args) -> str:
-    return args.base_iri or os.environ.get(BASE_IRI_ENV) or DEFAULT_BASE_IRI
+    """The --base-iri given, even an empty one, which lowering refuses;
+    else a non-empty $MUSE_ANNO_BASE_IRI, else the default."""
+    if args.base_iri is not None:
+        return args.base_iri
+    return os.environ.get(BASE_IRI_ENV) or DEFAULT_BASE_IRI
 
 
 def _line(args, path: Path | None, fields: dict, text: str) -> str:

@@ -41,6 +41,7 @@ from .model import (
     HUMAN,
     MACHINE,
     CHORD_KIND,
+    SCORE_INDEX_TYPES,
     SEGMENT_KIND,
     TIME_VALUE_RANGES,
     AnnotationModel,
@@ -61,13 +62,7 @@ from .model import (
     audio_interval,
     score_interval,
 )
-from .util import (
-    as_number,
-    canonical_json,
-    int_digit_limit,
-    line_column,
-    number_mismatch,
-)
+from .util import canonical_json, checked_number, int_digit_limit, line_column
 
 
 # --- document types ---------------------------------------------------------
@@ -246,16 +241,15 @@ def _take(rest: dict, key: str, expected, parent: str,
           required: bool = False):
     """Pop ``key`` from ``rest``, the keys of the JSON object at ``parent``
     not read yet, and check its value.  ``expected`` is a type (which no
-    bool meets), a function ``(value, path)`` that returns the value read,
-    or None for any value.  A null reads as absent (None) unless the key
-    is required."""
+    bool meets) or a function ``(value, path)`` that returns the value
+    read.  A null reads as absent (None) unless the key is required."""
     path = f"{parent}.{key}" if parent else key
     if key not in rest:
         if required:
             raise MissingField(path)
         return None
     value = rest.pop(key)
-    if expected is None or value is None and not required:
+    if value is None and not required:
         return value
     if not isinstance(expected, type):
         return expected(value, path)
@@ -272,9 +266,9 @@ def _object(raw: object, path: str) -> dict:
 
 
 def _non_negative(value: object, path: str) -> Decimal:
-    number = as_number(value, 0)
-    if number is None:
-        raise number_mismatch(value, path, 0)
+    number = checked_number(value, 0)
+    if isinstance(number, str):
+        raise TypeMismatch(path, number, value)
     return number
 
 
@@ -323,17 +317,19 @@ def _parse_row(raw: object, block: str, j: int) -> JamsObservationRow:
                        if key not in raw)
         raise MissingField(f"{block}.data[{j}].{missing}")
     rest = dict(raw)
-    time = as_number(rest.pop("time"), 0)
-    duration = as_number(rest.pop("duration"), 0)
-    if time is None or duration is None:
-        key = "time" if time is None else "duration"
-        raise number_mismatch(raw[key], f"{block}.data[{j}].{key}", 0)
+    time = checked_number(rest.pop("time"), 0)
+    if isinstance(time, str):
+        raise TypeMismatch(f"{block}.data[{j}].time", time, raw["time"])
+    duration = checked_number(rest.pop("duration"), 0)
+    if isinstance(duration, str):
+        raise TypeMismatch(f"{block}.data[{j}].duration", duration,
+                           raw["duration"])
     confidence = rest.pop("confidence", None)
     if confidence is not None:
-        confidence = as_number(confidence)
-        if confidence is None:
-            raise number_mismatch(raw["confidence"],
-                                  f"{block}.data[{j}].confidence")
+        confidence = checked_number(confidence)
+        if isinstance(confidence, str):
+            raise TypeMismatch(f"{block}.data[{j}].confidence", confidence,
+                               raw["confidence"])
     sandbox = rest.pop("sandbox", None)
     if sandbox is None:
         sandbox = {}
@@ -458,8 +454,7 @@ def _lower_block(block: JamsAnnotationBlock, i: int, object_disc: str,
     if audio:
         seconds = MusicTimeValueType.SECONDS
     else:
-        measure_type = MusicTimeValueType.MEASURE
-        beat_type = MusicTimeValueType.BEAT
+        measure_type, beat_type = SCORE_INDEX_TYPES
         measure_range = TIME_VALUE_RANGES[measure_type._value_]
         beat_range = TIME_VALUE_RANGES[beat_type._value_]
     # The span's first interval, from the least index (the first row of
@@ -559,14 +554,11 @@ def _metrical_fields(row: JamsObservationRow, i: int, j: int,
         raise ScoreLoweringMissingMetricalTime(
             f"annotations[{i}].data[{j}].sandbox",
             next(key for key in keys if key not in sandbox))
-    fields = (as_number(sandbox["measure"], *measure_range),
-              as_number(sandbox["beat"], *beat_range),
-              as_number(sandbox["duration_beats"], 0))
-    if None in fields:
-        for key, number, bounds in zip(keys, fields,
-                                       (measure_range, beat_range, (0,))):
-            if number is None:
-                raise number_mismatch(
-                    sandbox[key], f"annotations[{i}].data[{j}].sandbox.{key}",
-                    *bounds)
+    fields = (checked_number(sandbox["measure"], *measure_range),
+              checked_number(sandbox["beat"], *beat_range),
+              checked_number(sandbox["duration_beats"], 0))
+    for key, number in zip(keys, fields):
+        if isinstance(number, str):
+            raise TypeMismatch(f"annotations[{i}].data[{j}].sandbox.{key}",
+                               number, sandbox[key])
     return fields

@@ -10,8 +10,11 @@ both second-based and measure/beat-based positions.
 
 Each fact is stated once.  The musical object an annotation belongs to is
 the model's one ``subject``, not a field of the annotation, and the kind
-of an annotation's values is each value's own ``kind``.  ``vocab`` derives
-its time value and annotator type tables from the types here.
+of an annotation's values is each value's own ``kind``.  The signal-time
+value types and their seconds (``SECONDS_CONVERSIONS``) and a score
+index's value types (``SCORE_INDEX_TYPES``) are the validator's and
+ingestion's, and ``vocab`` derives its time value and annotator type
+tables from the types here.
 
 Dataclasses here are frozen and unvalidated, and the factory functions
 (``make_audio_index``, ``make_score_index``, ...) only build them:
@@ -23,6 +26,7 @@ broken states the validator has to catch.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -50,20 +54,41 @@ class MusicTimeValueType(Enum):
     BEAT = "Beat"
 
 
-AUDIO_TIME_TYPES = frozenset(
-    {MusicTimeValueType.SECONDS, MusicTimeValueType.MILLISECONDS,
-     MusicTimeValueType.MINUTES}
-)
+# Each signal-time value type's conversion to seconds: the Decimal
+# operation and its operand, applied as they stand, so that 1500
+# Milliseconds is 1.5 seconds and not 1.500.  ``in_seconds`` reads it, and
+# a value type that is not in it is no signal time.  Keyed by the enum
+# value: looking a member up by itself would hash it in Python code.
+SECONDS_CONVERSIONS = {
+    MusicTimeValueType.SECONDS.value: (operator.mul, Decimal(1)),
+    MusicTimeValueType.MILLISECONDS.value: (operator.truediv, Decimal(1000)),
+    MusicTimeValueType.MINUTES.value: (operator.mul, Decimal(60)),
+}
+
+AUDIO_TIME_TYPES = frozenset(map(MusicTimeValueType, SECONDS_CONVERSIONS))
+
+# A score index's components' value types, in order: the measure, then the
+# beat within it.
+SCORE_INDEX_TYPES = (MusicTimeValueType.MEASURE, MusicTimeValueType.BEAT)
 
 # Each value type's least index value and whether its values are whole
 # (written as xsd:integer, so a fraction would be lost); every duration's
-# least value is 0.  Keyed by the enum value: looking a member up by itself
-# would hash it in Python code.
+# least value is 0.  Keyed by the enum value, as SECONDS_CONVERSIONS is.
 TIME_VALUE_RANGES = {
-    **{audio.value: (0, False) for audio in AUDIO_TIME_TYPES},
+    **{unit: (0, False) for unit in SECONDS_CONVERSIONS},
     MusicTimeValueType.MEASURE.value: (1, True),
     MusicTimeValueType.BEAT.value: (1, False),
 }
+
+
+def in_seconds(value: Decimal, value_type: MusicTimeValueType) -> Decimal | None:
+    """``value`` in seconds, or None when ``value_type`` is no signal-time
+    type (``SECONDS_CONVERSIONS``)."""
+    conversion = SECONDS_CONVERSIONS.get(value_type._value_)
+    if conversion is None:
+        return None
+    operation, operand = conversion
+    return operation(value, operand)
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,9 +214,10 @@ def make_score_index(measure: Decimal | int | str | float,
     Measures are 1-based integers, beats 1-based decimals (fractional
     positions like 2.5 are fine).
     """
+    measure_type, beat_type = SCORE_INDEX_TYPES
     return MusicTimeIndex((
-        MusicTimeIndexComponent(as_decimal(measure), MusicTimeValueType.MEASURE),
-        MusicTimeIndexComponent(as_decimal(beat), MusicTimeValueType.BEAT),
+        MusicTimeIndexComponent(as_decimal(measure), measure_type),
+        MusicTimeIndexComponent(as_decimal(beat), beat_type),
     ))
 
 

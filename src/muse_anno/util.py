@@ -1,4 +1,5 @@
-"""Small shared helpers: decimal lexical forms and canonical JSON.
+"""Small shared helpers: decimal lexical forms, the one check of which
+JSON numbers are accepted (``checked_number``), and canonical JSON.
 
 Numbers are carried as :class:`decimal.Decimal` throughout so that values
 survive parsing and re-serialization with their source spelling intact
@@ -12,8 +13,6 @@ from __future__ import annotations
 import json
 import sys
 from decimal import Decimal, DefaultContext, InvalidOperation
-
-from .errors import TypeMismatch
 
 
 def as_decimal(value: Decimal | int | str | float) -> Decimal:
@@ -54,45 +53,37 @@ def int_digit_limit() -> int:
 MAX_EXPONENT = DefaultContext.Emax - 3
 
 
-def as_number(value: object, minimum: int | None = None,
-              integral: bool = False) -> Decimal | None:
+def checked_number(value: object, minimum: int | None = None,
+                   integral: bool = False) -> Decimal | str:
     """A parsed JSON number as a finite Decimal of at least ``minimum``
-    with no adjusted exponent above MAX_EXPONENT, or None for any other
-    value (a bool is no number).  An ``integral`` one must also be whole,
-    with no more digits than ``integer_lexical`` can write."""
+    with no adjusted exponent above MAX_EXPONENT, or else, as a string,
+    what the ``TypeMismatch`` for it expects (a bool is no number).  An
+    ``integral`` one must also be whole, with no more digits than
+    ``integer_lexical`` can write, and each of its refusals names its whole
+    range (``positive integer``).  Tell a refusal by ``isinstance(result,
+    str)``: a Decimal subclass comes back as it is."""
     if not isinstance(value, Decimal):
         if not isinstance(value, int) or isinstance(value, bool):
-            return None
+            return _refusal("number", minimum, integral)
         value = Decimal(value)
-    if not value.is_finite() or minimum is not None and value < minimum:
-        return None
+    if not value.is_finite():
+        return _refusal("finite number", minimum, integral)
+    if minimum is not None and value < minimum:
+        return _range(minimum, integral)
     magnitude = value.adjusted() if value else 0  # zero, even 0E+1000000
     if magnitude > MAX_EXPONENT:
-        return None
+        return _refusal(f"number of magnitude below 1E+{MAX_EXPONENT + 1}",
+                        minimum, integral)
     if integral:
         # Decimal operations only: int() of 1e1000000 alone runs for minutes.
         limit = int_digit_limit()
         if limit and magnitude >= limit or value != value.to_integral_value():
-            return None
+            return _range(minimum, integral)
     return value
 
 
-def number_mismatch(value: object, path: str, minimum: int | None = None,
-                    integral: bool = False) -> TypeMismatch:
-    """The error for a value at ``path`` that ``as_number`` refuses.  Each
-    failure of an ``integral`` number names its whole range (``positive
-    integer``)."""
-    if integral:
-        expected = _range(minimum, integral)
-    elif not isinstance(value, (int, Decimal)) or isinstance(value, bool):
-        expected = "number"
-    elif isinstance(value, Decimal) and not value.is_finite():
-        expected = "finite number"
-    elif minimum is not None and value < minimum:
-        expected = _range(minimum, integral)
-    else:
-        expected = f"number of magnitude below 1E+{MAX_EXPONENT + 1}"
-    return TypeMismatch(path, expected, value)
+def _refusal(expected: str, minimum: int | None, integral: bool) -> str:
+    return _range(minimum, integral) if integral else expected
 
 
 def _range(minimum: int, integral: bool) -> str:

@@ -7,9 +7,11 @@ indices and the (Measure, Beat) shape of score indices, annotator and
 annotator-type cardinality, disjointness of entity identifiers, and the
 ranges of time values and confidences.  This is the one place a model's
 time values are checked: the model factories only build, and JAMS
-ingestion checks the same ranges (``util.as_number``) only to name a bad
-number's JSON path.  W-codes are advisory: they flag states the pattern
-tolerates but that usually indicate sloppy input.
+ingestion checks the same ranges (``util.checked_number``) only to name a
+bad number's JSON path.  V5 and W1 read the signal-time value types and
+their seconds from ``model.in_seconds``, and V6 reads the score index's
+value types from ``model.SCORE_INDEX_TYPES``.  W-codes are advisory: they
+flag states the pattern tolerates but that usually indicate sloppy input.
 
 Checks are hierarchical so that a fixture breaking exactly one rule earns
 exactly one code: a missing index reports V1 and suppresses the index
@@ -31,6 +33,7 @@ from . import vocab
 from .errors import UnknownCode
 from .iri import component_iri, duration_iri, index_iri, interval_iri
 from .model import (
+    SCORE_INDEX_TYPES,
     TIME_VALUE_RANGES,
     AnnotationModel,
     Annotator,
@@ -38,8 +41,9 @@ from .model import (
     Modality,
     MusicTimeInterval,
     MusicTimeValueType,
+    in_seconds,
 )
-from .util import as_number
+from .util import checked_number
 
 
 class Severity(Enum):
@@ -178,14 +182,12 @@ def validate_model(model: AnnotationModel) -> list[Violation]:
     file_duration = model.file_duration
     # Enum members bound once: reading one off its class is slow.
     audio = Modality.AUDIO
-    score_index = [MusicTimeValueType.MEASURE, MusicTimeValueType.BEAT]
     for annotation in model.annotations:
         claim(annotation.id, "music annotation")
         _check_annotator(annotation.id, annotation.annotator, model.base_iri,
                          report, claim)
         _check_interval(annotation.id, annotation.interval,
-                        None if annotation.modality is audio else score_index,
-                        report, claim)
+                        annotation.modality is not audio, report, claim)
         if not annotation.observations:
             report("W2", annotation.id, "annotation contains no observations")
         for obs in annotation.observations:
@@ -195,9 +197,8 @@ def validate_model(model: AnnotationModel) -> list[Violation]:
                 report("V4", obs.id,
                        f"{obs.modality.value} observation inside a "
                        f"{annotation.modality.value} annotation")
-            end = _check_interval(
-                obs.id, obs.interval,
-                None if obs.modality is audio else score_index, report, claim)
+            end = _check_interval(obs.id, obs.interval,
+                                  obs.modality is not audio, report, claim)
             _check_confidence(obs.id, obs.confidence, report)
             if end is not None and file_duration is not None \
                     and end > file_duration:
@@ -225,14 +226,12 @@ def _check_annotator(annotation_id: str, annotator: object, base_iri: str,
         claim(vocab.annotator_type_iri(atype, base_iri), "annotator type")
 
 
-def _check_interval(owner_id: str, interval: object,
-                    score_index: list[MusicTimeValueType] | None,
+def _check_interval(owner_id: str, interval: object, score: bool,
                     report, claim) -> Decimal | None:
-    """Check an entity's interval: an audio one's when ``score_index`` is
-    None, else a score one's, whose index has these value types.  Return
-    its end in seconds when it is well-formed (no V1, V2 or V3) with one
-    component, a duration and signal-time units, which is what W1
-    compares, else None."""
+    """Check an entity's interval, a ``score`` one's or an audio one's.
+    Return its end in seconds when it is well-formed (no V1, V2 or V3)
+    with one component, a duration and signal-time units, which is what
+    W1 compares, else None."""
     if not isinstance(interval, MusicTimeInterval):
         report("V1", owner_id, "entity has no music time interval")
         return None
@@ -262,18 +261,19 @@ def _check_interval(owner_id: str, interval: object,
         return None
 
     components = index.components
-    start = (_in_seconds(components[0].value, components[0].value_type)
+    start = (in_seconds(components[0].value, components[0].value_type)
              if len(components) == 1 else None)
-    if score_index is None:
+    if not score:
         if start is None:  # not one component of a signal-time type
             report("V5", index_iri(owner_id),
                    "audio index must be a single Seconds/Milliseconds/Minutes "
                    "component")
-    elif [component.value_type for component in components] != score_index:
+    elif tuple([component.value_type
+                for component in components]) != SCORE_INDEX_TYPES:
         report("V6", index_iri(owner_id), "score index must be (Measure, Beat)")
     if duration is None or start is None:
         return None
-    length = _in_seconds(duration.value, duration.value_type)
+    length = in_seconds(duration.value, duration.value_type)
     return None if length is None else start + length
 
 
@@ -284,8 +284,8 @@ def _time_value_fault(part, role: str) -> str | None:
     value, value_type = part.value, part.value_type
     if isinstance(value, Decimal) and isinstance(value_type, MusicTimeValueType):
         minimum, integral = TIME_VALUE_RANGES[value_type._value_]
-        if as_number(value, 0 if role == "duration" else minimum,
-                     integral) is not None:
+        if not isinstance(checked_number(
+                value, 0 if role == "duration" else minimum, integral), str):
             return None
         if value.is_finite():
             return f"{value_type.value} {role} value {value} is out of range"
@@ -298,22 +298,3 @@ def _check_confidence(obs_id: str, confidence: Decimal | None, report) -> None:
     if not (isinstance(confidence, Decimal) and confidence.is_finite()
             and 0 <= confidence <= 1):
         report("V10", obs_id, f"confidence {confidence} outside [0, 1]")
-
-
-# Keyed by the enum value: looking a member up by itself would hash it in
-# Python code.
-_SECONDS_PER = {
-    MusicTimeValueType.SECONDS.value: Decimal(1),
-    MusicTimeValueType.MINUTES.value: Decimal(60),
-}
-
-
-def _in_seconds(value: Decimal, value_type: MusicTimeValueType) -> Decimal | None:
-    """``value`` in seconds, or None when ``value_type`` is no signal-time
-    type (``AUDIO_TIME_TYPES``)."""
-    factor = _SECONDS_PER.get(value_type._value_)
-    if factor is not None:
-        return value * factor
-    if value_type is MusicTimeValueType.MILLISECONDS:
-        return value / 1000
-    return None

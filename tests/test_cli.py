@@ -509,6 +509,33 @@ def test_a_bad_base_iri_is_one_diagnostic_per_file(capsys_run):
         str(BOHEMIAN), str(MICHELLE), str(MOZART)]
 
 
+@pytest.mark.parametrize("env", [None, "https://corpus.example.net/"])
+def test_an_empty_base_iri_is_refused_not_replaced(tmp_path, capsys_run,
+                                                   monkeypatch, env):
+    if env is None:
+        monkeypatch.delenv("MUSE_ANNO_BASE_IRI", raising=False)
+    else:
+        monkeypatch.setenv("MUSE_ANNO_BASE_IRI", env)
+    code, out, err = capsys_run("convert", "--modality", "audio",
+                                "--base-iri", "", str(BOHEMIAN),
+                                "-o", str(tmp_path))
+    assert (code, out) == (1, "")
+    [diagnostic] = [json.loads(line) for line in err.splitlines()]
+    assert diagnostic["error"] == "InvalidBase"
+    assert diagnostic["path"] == str(BOHEMIAN)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_base_iri_variable_counts_as_unset(tmp_path, capsys_run,
+                                                    monkeypatch):
+    monkeypatch.setenv("MUSE_ANNO_BASE_IRI", "")
+    code, _, err = capsys_run("convert", str(BOHEMIAN), "--modality", "audio",
+                              "-o", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert (tmp_path / "bohemian_rhapsody.ttl").read_text(encoding="utf-8") \
+        == (GOLDEN / "bohemian_rhapsody.ttl").read_text(encoding="utf-8")
+
+
 def test_stats_ignores_the_base_iri(capsys_run):
     """stats mints no IRI, so a base it cannot use changes nothing."""
     plain = capsys_run("stats", str(FIXTURES))

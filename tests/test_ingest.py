@@ -334,6 +334,7 @@ def test_empty_namespace_rejected():
     ('{"namespace":"chord","data":[5]}', TypeMismatch,
      "annotations[0].data[0]"),
     ('{"data":[]}', MissingField, "annotations[0].namespace"),
+    ('{"namespace":null,"data":[]}', MissingField, "annotations[0].namespace"),
     ('{"namespace":"chord","data":[],"annotation_metadata":{"version":[1]}}',
      TypeMismatch, "annotations[0].annotation_metadata.version"),
     ('{"namespace":"chord","data":[],"annotation_metadata":{"corpus":true}}',
@@ -345,6 +346,30 @@ def test_malformed_block_names_its_path(block, error, path):
     with pytest.raises(error) as excinfo:
         parse_jams(text)
     assert excinfo.value.path == path
+
+
+@pytest.mark.parametrize("duration, expected", [
+    ("-1", "non-negative number"),
+    ('"x"', "number"),
+    ("true", "number"),
+])
+def test_bad_file_duration_names_its_path(duration, expected):
+    with pytest.raises(TypeMismatch) as excinfo:
+        parse_jams(EMPTY_CORPUS.replace('"duration":0',
+                                        f'"duration":{duration}'))
+    assert excinfo.value.path == "file_metadata.duration"
+    assert excinfo.value.expected == expected
+
+
+def test_null_optional_fields_read_as_absent():
+    with_nulls = parse_jams(
+        '{"annotations":[{"namespace":"chord","data":[],'
+        '"annotation_metadata":null,"sandbox":null}],'
+        '"file_metadata":{"title":null,"duration":null},"sandbox":null}')
+    absent = parse_jams('{"annotations":[{"namespace":"chord","data":[]}],'
+                        '"file_metadata":{}}')
+    assert with_nulls == absent
+    assert with_nulls.file_metadata.duration is None
 
 
 def test_unknown_keys_preserved_in_extras():
@@ -385,6 +410,9 @@ def test_non_string_values_stored_canonically():
         '[{"time":0.0,"duration":1.0,"value":{"freq":440.0,"index":0}}]}]')
     doc = parse_jams(text)
     assert doc.annotations[0].data[0].value == '{"freq":440.0,"index":0}'
+    doc = parse_jams(text.replace('"index":0', '"index":0,"voiced":false'))
+    assert doc.annotations[0].data[0].value == \
+        '{"freq":440.0,"index":0,"voiced":false}'
 
 
 # --- the row-error table -----------------------------------------------------
