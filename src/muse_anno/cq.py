@@ -89,12 +89,7 @@ def answer_cq(cq_id: int, graph: RdfGraph, subject: str | None = None) -> CqResu
 
 def oracle_cq(cq_id: int, model: AnnotationModel,
               subject: str | None = None) -> CqResult:
-    """Answer a competency question by direct model traversal, no graph.
-
-    With a subject, the lookup keeps an id -> entity map of the last model
-    it was given, so that model stays in memory until another is asked
-    about.
-    """
+    """Answer a competency question by direct model traversal, no graph."""
     question = _question(cq_id, subject)
     roots = _model_roots(model, question.root, subject)
     return CqResult(cq_id, question.columns,
@@ -222,31 +217,14 @@ _MODEL_ROOTS = {
 }
 
 
-# The model that a subject was last looked up in, with an id -> root map
-# per root kind, each built when first needed; so asking about every
-# entity of one model in turn scans it once per kind, not once per call.
-# A model is immutable, so the maps hold while the same object is asked.
-_roots_by_id: tuple[AnnotationModel | None, dict[str, dict]] = (None, {})
-
-
 def _model_roots(model: AnnotationModel, kind: str, subject: str | None) -> list:
+    roots = _MODEL_ROOTS[kind](model)
     if subject is None:
-        return _MODEL_ROOTS[kind](model)
-    global _roots_by_id
-    indexed, maps = _roots_by_id
-    if indexed is not model:
-        maps = {}
-        _roots_by_id = model, maps
-    by_id = maps.get(kind)
-    if by_id is None:
-        # Reversed, so that of two roots with one id the first is kept.
-        by_id = maps[kind] = {
-            (root[0] if isinstance(root, tuple) else root).id: root
-            for root in reversed(_MODEL_ROOTS[kind](model))}
-    root = by_id.get(subject)
-    if root is None:
-        raise SubjectNotFound(subject, kind)
-    return [root]
+        return roots
+    for root in roots:  # of two roots with one id, the first
+        if (root[0] if isinstance(root, tuple) else root).id == subject:
+            return [root]
+    raise SubjectNotFound(subject, kind)
 
 
 def _model_start(model: AnnotationModel, roots: list,

@@ -13,8 +13,10 @@ the model's one ``subject``, not a field of the annotation, and the kind
 of an annotation's values is each value's own ``kind``.  The signal-time
 value types and their seconds (``SECONDS_CONVERSIONS``) and a score
 index's value types (``SCORE_INDEX_TYPES``) are the validator's and
-ingestion's, and ``vocab`` derives its time value and annotator type
-tables from the types here.
+ingestion's, and the validator's rule texts name them from there, as they
+name the builtin annotator types from ``BUILTIN_ANNOTATOR_TYPES``.
+``vocab`` derives its time value, annotator type and value class tables
+from the types here.
 
 Dataclasses here are frozen and unvalidated, and the factory functions
 (``make_audio_index``, ``make_score_index``, ...) only build them:
@@ -65,8 +67,6 @@ SECONDS_CONVERSIONS = {
     MusicTimeValueType.MINUTES.value: (operator.mul, Decimal(60)),
 }
 
-AUDIO_TIME_TYPES = frozenset(map(MusicTimeValueType, SECONDS_CONVERSIONS))
-
 # A score index's components' value types, in order: the measure, then the
 # beat within it.
 SCORE_INDEX_TYPES = (MusicTimeValueType.MEASURE, MusicTimeValueType.BEAT)
@@ -101,6 +101,7 @@ class AnnotatorType:
 HUMAN = AnnotatorType("Human")
 MACHINE = AnnotatorType("Machine")
 CROWDSOURCING = AnnotatorType("Crowdsourcing")
+BUILTIN_ANNOTATOR_TYPES = (HUMAN, MACHINE, CROWDSOURCING)
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,15 +3,18 @@
 Each violation code corresponds to one rule of the pattern: the interval,
 index and component cardinalities, the modality compatibility between an
 annotation and its observations, the single-component shape of audio
-indices and the (Measure, Beat) shape of score indices, annotator and
+indices and the two-component shape of score indices, annotator and
 annotator-type cardinality, disjointness of entity identifiers, and the
 ranges of time values and confidences.  This is the one place a model's
 time values are checked: the model factories only build, and JAMS
 ingestion checks the same ranges (``util.checked_number``) only to name a
 bad number's JSON path.  V5 and W1 read the signal-time value types and
 their seconds from ``model.in_seconds``, and V6 reads the score index's
-value types from ``model.SCORE_INDEX_TYPES``.  W-codes are advisory: they
-flag states the pattern tolerates but that usually indicate sloppy input.
+value types from ``model.SCORE_INDEX_TYPES``.  The rule texts and the V5
+and V6 messages name types from those tables, ``model.TIME_VALUE_RANGES``
+and ``model.BUILTIN_ANNOTATOR_TYPES``, and are built once, at import.
+W-codes are advisory: they flag states the pattern tolerates but that
+usually indicate sloppy input.
 
 Checks are hierarchical so that a fixture breaking exactly one rule earns
 exactly one code: a missing index reports V1 and suppresses the index
@@ -33,7 +36,9 @@ from . import vocab
 from .errors import UnknownCode
 from .iri import component_iri, duration_iri, index_iri, interval_iri
 from .model import (
+    BUILTIN_ANNOTATOR_TYPES,
     SCORE_INDEX_TYPES,
+    SECONDS_CONVERSIONS,
     TIME_VALUE_RANGES,
     AnnotationModel,
     Annotator,
@@ -75,6 +80,22 @@ class Rule:
     hint: str
 
 
+def _either(names) -> str:
+    """``names`` as "A, B or C"."""
+    *rest, last = names
+    return f"{', '.join(rest)} or {last}" if rest else last
+
+
+# The type names the rule texts and messages quote, from the model's tables.
+_SIGNAL_UNITS = _either(SECONDS_CONVERSIONS)
+_WHOLE = _either(t for t, (_, whole) in TIME_VALUE_RANGES.items() if whole)
+_FROM_ONE = _either(t for t, (least, _) in TIME_VALUE_RANGES.items() if least == 1)
+_MEASURE, _BEAT = (value_type.value for value_type in SCORE_INDEX_TYPES)
+_BUILTIN_TYPES = ", ".join(atype.name for atype in BUILTIN_ANNOTATOR_TYPES)
+_V5_MESSAGE = \
+    f"audio index must be a single {'/'.join(SECONDS_CONVERSIONS)} component"
+_V6_MESSAGE = f"score index must be ({_MEASURE}, {_BEAT})"
+
 _RULES = [
     Rule("V1", Severity.ERROR,
          "A music time interval holds exactly one index and exactly one duration.",
@@ -91,7 +112,7 @@ _RULES = [
          "hasTimeValue exactly 1 rdfs:Literal; "
          "hasMusicTimeValueType exactly 1 MusicTimeValueType",
          "Give every component and duration a value type and a finite decimal "
-         "value: Measure values whole; a Measure or Beat component from 1, "
+         f"value: {_WHOLE} values whole; a {_FROM_ONE} component from 1, "
          "any other component or duration from 0."),
     Rule("V4", Severity.ERROR,
          "An annotation only contains observations of its own modality.",
@@ -100,15 +121,15 @@ _RULES = [
          "Give every observation its annotation's modality."),
     Rule("V5", Severity.ERROR,
          "An audio index is expressed by a single MusicTimeIndexComponent "
-         "whose value type is Seconds, Milliseconds or Minutes.",
+         f"whose value type is {_SIGNAL_UNITS}.",
          "AudioMusicAnnotation/AudioMusicObservation start time: exactly one "
          "component with a signal-time value type",
-         "Give audio indices one Seconds, Milliseconds or Minutes component."),
+         f"Give audio indices one {_SIGNAL_UNITS} component."),
     Rule("V6", Severity.ERROR,
-         "A score index needs two MusicTimeIndexComponents: a Measure followed "
-         "by a Beat.",
+         "A score index needs two MusicTimeIndexComponents: a "
+         f"{_MEASURE} followed by a {_BEAT}.",
          "ScoreMusicAnnotation/ScoreMusicObservation start time: two components, "
-         "Measure then Beat",
+         f"{_MEASURE} then {_BEAT}",
          "Use make_score_index for score entities."),
     Rule("V7", Severity.ERROR,
          "An annotation has one and only one annotator.",
@@ -117,9 +138,8 @@ _RULES = [
          "covers unknown ones."),
     Rule("V8", Severity.ERROR,
          "An annotator is classified by exactly one annotator type.",
-         "hasAnnotatorType exactly 1 AnnotatorType (Human, Machine, "
-         "Crowdsourcing, ...)",
-         "Set annotator_type to Human, Machine, Crowdsourcing, or a named custom type."),
+         f"hasAnnotatorType exactly 1 AnnotatorType ({_BUILTIN_TYPES}, ...)",
+         f"Set annotator_type to {_BUILTIN_TYPES}, or a named custom type."),
     Rule("V9", Severity.ERROR,
          "Musical object, music annotation, music observation, observation "
          "value, music time interval, annotator and annotator type are "
@@ -265,12 +285,10 @@ def _check_interval(owner_id: str, interval: object, score: bool,
              if len(components) == 1 else None)
     if not score:
         if start is None:  # not one component of a signal-time type
-            report("V5", index_iri(owner_id),
-                   "audio index must be a single Seconds/Milliseconds/Minutes "
-                   "component")
+            report("V5", index_iri(owner_id), _V5_MESSAGE)
     elif tuple([component.value_type
                 for component in components]) != SCORE_INDEX_TYPES:
-        report("V6", index_iri(owner_id), "score index must be (Measure, Beat)")
+        report("V6", index_iri(owner_id), _V6_MESSAGE)
     if duration is None or start is None:
         return None
     length = in_seconds(duration.value, duration.value_type)

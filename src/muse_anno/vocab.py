@@ -108,9 +108,12 @@ _TIME_TERMS = {
 
 # Each builtin annotator type's name to its vocabulary individual.
 _BUILTIN_ANNOTATOR_TYPES = {
-    atype.name: MAP + atype.name
-    for atype in (model.HUMAN, model.MACHINE, model.CROWDSOURCING)
+    atype.name: MAP + atype.name for atype in model.BUILTIN_ANNOTATOR_TYPES
 }
+
+# The specialised value classes, keyed by their value kinds' tokens.
+_VALUE_CLASS_BY_TOKEN = {model.CHORD_KIND.token: CHORD,
+                         model.SEGMENT_KIND.token: SEGMENT}
 
 
 def object_class(kind: ObjectKind) -> str:
@@ -133,11 +136,7 @@ def value_class_iri(kind: ValueKind) -> str:
     Chord and segment values get the specialised classes; any other kind
     falls back to the base observation-value class.
     """
-    if kind.token == "chord":
-        return CHORD
-    if kind.token == "segment":
-        return SEGMENT
-    return MUSIC_OBSERVATION_VALUE
+    return _VALUE_CLASS_BY_TOKEN.get(kind.token, MUSIC_OBSERVATION_VALUE)
 
 
 def annotator_type_iri(atype: AnnotatorType, base_iri: str) -> str:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from muse_anno import answer_cq, emit_graph, oracle_cq, parse_turtle, vocab
+from muse_anno import (answer_cq, audio_interval, emit_graph, oracle_cq,
+                       parse_turtle, vocab)
 from muse_anno.cq import _QUESTIONS
 from muse_anno.errors import SubjectNotFound, SubjectRequired, UnknownCq
 
@@ -185,6 +187,22 @@ def test_a_model_without_subject_links_no_annotation_to_an_object():
     assert [t for t in graph if t.predicate == vocab.HAS_MUSIC_ANNOTATION] == []
     assert answer_cq(10, graph).rows == ()
     assert oracle_cq(10, model).rows == ()
+
+
+def test_the_oracle_keeps_no_reference_to_a_model():
+    model = valid_model()
+    before = sys.getrefcount(model)
+    oracle_cq(3, model, model.annotations[0].id)
+    assert sys.getrefcount(model) == before
+
+
+def test_the_oracle_answers_a_shared_id_from_its_first_root():
+    first = valid_model().annotations[0]
+    second = replace(first, interval=audio_interval("5.0", "1.0"))
+    model = replace(valid_model(), annotations=(first, second))
+    rows = oracle_cq(3, model, first.id).rows
+    assert rows == oracle_cq(3, replace(model, annotations=(first,)), first.id).rows
+    assert rows != oracle_cq(3, replace(model, annotations=(second,)), first.id).rows
 
 
 def test_cq8_observation_matches_annotation(bohemian_model, bohemian_graph):

@@ -30,11 +30,14 @@ from muse_anno import (
 )
 from muse_anno.errors import IncommensurableUnits, UnvalidatedModel
 from muse_anno.iri import component_iri, duration_iri
-from muse_anno.model import AUDIO_TIME_TYPES
+from muse_anno.model import SECONDS_CONVERSIONS
 from muse_anno.util import MAX_EXPONENT
 
 from injections import valid_model
 from strategies import any_models
+
+# The signal-time value types.
+AUDIO_TIME_TYPES = frozenset(map(MusicTimeValueType, SECONDS_CONVERSIONS))
 
 
 def test_make_audio_index_single_seconds_component():

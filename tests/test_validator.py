@@ -28,12 +28,15 @@ from muse_anno import (
 )
 from muse_anno.errors import UnknownCode
 from muse_anno.iri import component_iri, duration_iri, index_iri, interval_iri
-from muse_anno.model import AUDIO_TIME_TYPES
+from muse_anno.model import SECONDS_CONVERSIONS
 from muse_anno.util import int_digit_limit
 from muse_anno.validate import _RANK, RULES
 
 from injections import BROKEN_MODELS, EX, valid_model
 from strategies import annotation_models
+
+# The signal-time value types.
+AUDIO_TIME_TYPES = frozenset(map(MusicTimeValueType, SECONDS_CONVERSIONS))
 
 
 def _error_codes(model):
@@ -172,6 +175,88 @@ def test_explain_covers_registry_and_rejects_unknown():
         assert text.startswith(code)
     with pytest.raises(UnknownCode):
         explain("V99")
+
+
+# Each rule's full text.  The parts that name value or annotator types are
+# built from the model's tables; this pins what they come to.
+_EXPLAINED = {
+    "V1": (
+        "V1 [Error]: A music time interval holds exactly one index and "
+        "exactly one duration. Constraint: hasMusicTimeIndex exactly 1 "
+        "MusicTimeIndex; hasMusicTimeDuration exactly 1 "
+        "MusicTimeDuration. Hint: Build intervals through "
+        "audio_interval/score_interval so both parts exist."),
+    "V2": (
+        "V2 [Error]: A music time index holds at least one component. "
+        "Constraint: hasMusicTimeIndexComponent min 1 "
+        "MusicTimeIndexComponent. Hint: Use make_audio_index or "
+        "make_score_index to populate the components."),
+    "V3": (
+        "V3 [Error]: A music time index component or duration carries "
+        "exactly one value and exactly one value type, and the value is "
+        "in the type's range. Constraint: hasTimeValue exactly 1 "
+        "rdfs:Literal; hasMusicTimeValueType exactly 1 "
+        "MusicTimeValueType. Hint: Give every component and duration a "
+        "value type and a finite decimal value: Measure values whole; a "
+        "Measure or Beat component from 1, any other component or "
+        "duration from 0."),
+    "V4": (
+        "V4 [Error]: An annotation only contains observations of its own "
+        "modality. Constraint: a ScoreMusicAnnotation contains "
+        "ScoreMusicObservations, otherwise it contains "
+        "AudioMusicObservations. Hint: Give every observation its "
+        "annotation's modality."),
+    "V5": (
+        "V5 [Error]: An audio index is expressed by a single "
+        "MusicTimeIndexComponent whose value type is Seconds, "
+        "Milliseconds or Minutes. Constraint: "
+        "AudioMusicAnnotation/AudioMusicObservation start time: exactly "
+        "one component with a signal-time value type. Hint: Give audio "
+        "indices one Seconds, Milliseconds or Minutes component."),
+    "V6": (
+        "V6 [Error]: A score index needs two MusicTimeIndexComponents: a "
+        "Measure followed by a Beat. Constraint: "
+        "ScoreMusicAnnotation/ScoreMusicObservation start time: two "
+        "components, Measure then Beat. Hint: Use make_score_index for "
+        "score entities."),
+    "V7": (
+        "V7 [Error]: An annotation has one and only one annotator. "
+        "Constraint: hasAnnotator: MusicAnnotation -> Annotator, exactly "
+        "1. Hint: Give the annotation an Annotator; the ingestion "
+        "fallback policy covers unknown ones."),
+    "V8": (
+        "V8 [Error]: An annotator is classified by exactly one annotator "
+        "type. Constraint: hasAnnotatorType exactly 1 AnnotatorType "
+        "(Human, Machine, Crowdsourcing, ...). Hint: Set annotator_type "
+        "to Human, Machine, Crowdsourcing, or a named custom type."),
+    "V9": (
+        "V9 [Error]: Musical object, music annotation, music "
+        "observation, observation value, music time interval, annotator "
+        "and annotator type are disjoint, so their identifiers never "
+        "coincide. Constraint: MusicalObject, MusicAnnotation, "
+        "MusicObservation, MusicObservationValue, MusicTimeInterval, "
+        "Annotator, AnnotatorType are disjoint concepts. Hint: Mint "
+        "every entity its own IRI (IriMinter guarantees uniqueness)."),
+    "V10": (
+        "V10 [Error]: Confidence, when present, lies in [0, 1]. "
+        "Constraint: hasConfidence value within the closed unit "
+        "interval. Hint: Scale or drop out-of-range confidences at "
+        "ingestion time."),
+    "W1": (
+        "W1 [Warning]: An observation extends past the declared file "
+        "duration. Constraint: observation start + duration <= file "
+        "duration (advisory). Hint: Check the source annotation times "
+        "against the file metadata."),
+    "W2": (
+        "W2 [Warning]: An annotation contains no observations. "
+        "Constraint: a music annotation is a group of music observations "
+        "(advisory). Hint: Drop empty annotation blocks or populate them."),
+}
+
+
+@pytest.mark.parametrize("code", sorted(_EXPLAINED))
+def test_explain_gives_each_rule_its_full_text(code):
+    assert explain(code) == _EXPLAINED[code]
 
 
 # --- the two-walk validator as an oracle ------------------------------------------
