@@ -14,15 +14,19 @@ class MuseAnnoError(Exception):
     """Base class for all errors raised by muse_anno."""
 
 
-# --- JAMS ingestion -------------------------------------------------------
-
-class MalformedJson(MuseAnnoError):
-    """The input is not valid JSON."""
+class _Located(MuseAnnoError):
+    """An error at a 1-based line and column of the input text."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+# --- JAMS ingestion -------------------------------------------------------
+
+class MalformedJson(_Located):
+    """The input is not valid JSON."""
 
 
 class MissingField(MuseAnnoError):
@@ -101,25 +105,17 @@ class UnvalidatedModel(MuseAnnoError):
         self.codes = codes
 
 
-class TurtleSyntax(MuseAnnoError):
+class TurtleSyntax(_Located):
     """The Turtle text could not be parsed."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
 
-
-class UnsupportedConstruct(MuseAnnoError):
+class UnsupportedConstruct(_Located):
     """The Turtle text uses a construct outside the emitted subset."""
 
     def __init__(self, construct: str, line: int, column: int):
-        super().__init__(
-            f"unsupported Turtle construct {construct} (line {line}, column {column})"
-        )
+        super().__init__(f"unsupported Turtle construct {construct}",
+                         line, column)
         self.construct = construct
-        self.line = line
-        self.column = column
 
 
 # --- competency questions -------------------------------------------------

@@ -153,23 +153,17 @@ def parse_jams(data: bytes | str) -> JamsDocument:
             except UnicodeEncodeError as exc:
                 raise _json_error_at(text, exc.start, "lone surrogate") from exc
 
-    def refuse(constant: str):  # json.loads passes NaN and Infinity here
-        raise _json_error_at(text, next(
-            t.start() for t in _JSON_TOKEN_RE.finditer(text)
-            if t.group() == constant), f"{constant} is not a JSON value")
-
     try:
-        raw = json.loads(text, parse_float=Decimal, parse_constant=refuse)
+        raw = json.loads(text, parse_float=Decimal, parse_constant=_refuse)
     except json.JSONDecodeError as exc:
         raise MalformedJson(exc.msg, exc.lineno, exc.colno) from exc
-    except ValueError as exc:  # an integer past the int conversion limit
-        raise _unlocated_json_error(text, "integer literal too long") from exc
-    except RecursionError as exc:
-        raise _unlocated_json_error(text, _TOO_DEEP) from exc
+    except (ValueError, ArithmeticError, RecursionError) as exc:
+        raise _first_fault(text, isinstance(exc, RecursionError)) from exc
     # A \uD800-\uDFFF escape may decode to a lone surrogate, which no UTF-8
     # output can carry; only texts holding one are looked at closely.
-    if "\\" in text and _SURROGATE_ESCAPE_RE.search(text):
-        _reject_lone_surrogates(text)
+    if "\\" in text and _SURROGATE_ESCAPE_RE.search(text) and (
+            error := _first_fault(text)):
+        raise error
 
     rest = _object(raw, "$")
     file_metadata = _parse_file_metadata(
@@ -184,9 +178,13 @@ def parse_jams(data: bytes | str) -> JamsDocument:
         # From Python 3.12 on, json.loads accepts values nested deeper than
         # Python code can recurse into, so canonicalising one (an observation
         # value or an annotator map) can overflow.
-        raise _unlocated_json_error(text, _TOO_DEEP) from exc
+        raise _first_fault(text, too_deep=True) from exc
     sandbox = _take(rest, "sandbox", dict, "") or {}
     return JamsDocument(file_metadata, annotations, sandbox, rest)
+
+
+def _refuse(constant: str):  # json.loads passes NaN and Infinity here
+    raise ValueError(constant)
 
 
 _TOO_DEEP = "arrays and objects nested too deeply"
@@ -195,42 +193,45 @@ _TOO_DEEP = "arrays and objects nested too deeply"
 _JSON_TOKEN_RE = re.compile(
     r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?|[\[{]|[\]}]'
     r"|-?Infinity|NaN")
-
-
-def _unlocated_json_error(text: str, message: str) -> MalformedJson:
-    """Locate a failure json.loads reports without a position: the first
-    integer literal over the conversion limit, or else the first bracket
-    at the deepest nesting level."""
-    limit = int_digit_limit()
-    depth = deepest = where = 0
-    for token in _JSON_TOKEN_RE.finditer(text):
-        digits, fraction, exponent = token.groups()
-        if digits and not fraction and not exponent and 0 < limit < len(digits):
-            where = token.start()
-            break
-        if token.group() in "[{":
-            depth += 1
-            if depth > deepest:
-                deepest, where = depth, token.start()
-        elif token.group() in "]}":
-            depth -= 1
-    return _json_error_at(text, where, message)
-
-
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def _reject_lone_surrogates(text: str) -> None:
-    """Raise MalformedJson at the first string of a parsed JSON text whose
-    value holds a surrogate that no escape pairs up."""
+def _first_fault(text: str, too_deep: bool = False) -> MalformedJson | None:
+    """Place what json.loads reports unplaced or lets through: the error at
+    the first faulty token (NaN or Infinity, an integer literal over the
+    conversion limit, a number no Decimal holds, a string holding a lone
+    surrogate), else, if ``too_deep``, at the first bracket of the deepest
+    level.  A text with two faulty tokens is reported at the first one."""
+    limit = int_digit_limit()
+    depth = deepest = where = 0
     for token in _JSON_TOKEN_RE.finditer(text):
         literal = token.group()
-        if literal[0] == '"' and _SURROGATE_ESCAPE_RE.search(literal):
+        digits, fraction, exponent = token.groups()
+        message = None
+        if literal in "[{":
+            depth += 1
+            if depth > deepest:
+                deepest, where = depth, token.start()
+        elif literal in "]}":
+            depth -= 1
+        elif literal[0] == '"':
+            if _SURROGATE_ESCAPE_RE.search(literal):
+                try:
+                    json.loads(literal).encode("utf-8")
+                except UnicodeEncodeError:
+                    message = "string holds a lone surrogate"
+        elif exponent:  # no other number can be out of Decimal's range
             try:
-                json.loads(literal).encode("utf-8")
-            except UnicodeEncodeError:
-                raise _json_error_at(text, token.start(),
-                                     "string holds a lone surrogate") from None
+                Decimal(literal)
+            except ArithmeticError:
+                message = "number out of range"
+        elif not digits:
+            message = f"{literal} is not a JSON value"
+        elif not fraction and 0 < limit < len(digits):
+            message = "integer literal too long"
+        if message:
+            return _json_error_at(text, token.start(), message)
+    return _json_error_at(text, where, _TOO_DEEP) if too_deep else None
 
 
 def _json_error_at(text: str, where: int, message: str) -> MalformedJson:

@@ -119,6 +119,13 @@ def _accepted(argv: list[str]) -> bool:
          opts={"pretty": False, "strict": False, "modality": None,
                "base_iri": "not an iri", "format": None,
                "output_is_file": False, "cq": "7", "subject": None})
+@example(command="validate",
+         specs=[("file", b'{"annotations":[{"namespace":"chord","data":'
+                 b'[{"time":1e9999999999999999999,"duration":0,"value":"C"}]'
+                 b'}],"file_metadata":{"title":"x"},"sandbox":{}}')],
+         opts={"pretty": False, "strict": False, "modality": "audio",
+               "base_iri": None, "format": None,
+               "output_is_file": False, "cq": "1", "subject": None})
 def test_main_keeps_its_contract(command, specs, opts):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

@@ -7,7 +7,7 @@ import json
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muse_anno import (
@@ -148,6 +148,34 @@ def test_deep_nesting_reports_malformed():
     assert (excinfo.value.line, excinfo.value.column) == (1, 100_000)
 
 
+def test_deep_nesting_then_an_overlong_integer_reports_the_integer():
+    # A faulty token is reported before nesting too deep, wherever it is.
+    text = "[" * 100_000 + "7" * 5000
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(text)
+    assert str(excinfo.value) == \
+        "integer literal too long (line 1, column 100001)"
+
+
+@pytest.mark.parametrize("number", ["1e9999999999999999999",
+                                    "1E-9999999999999999999"])
+@pytest.mark.parametrize("where", ["row", "identifiers"])
+def test_number_no_decimal_holds_reports_malformed_at_the_token(number,
+                                                                 where):
+    if where == "row":
+        text = EMPTY_CORPUS.replace(
+            '"annotations":[]', '"annotations":[{"namespace":"chord","data":'
+            f'\n[{{"time":{number},"duration":1,"value":"N"}}]}}]')
+    else:
+        text = EMPTY_CORPUS.replace(
+            '"title":""', f'\n"identifiers":{{"isrc":{number}}},"title":""')
+    column = text.splitlines()[1].index(number) + 1
+    with pytest.raises(MalformedJson) as excinfo:
+        parse_jams(text)
+    assert str(excinfo.value) == \
+        f"number out of range (line 2, column {column})"
+
+
 def _nested_value_jams(depth: int) -> str:
     """A JAMS whose one observation value nests ``depth`` arrays deep."""
     return ('{"annotations":[{"namespace":"chord","data":[{"time":0.0,'
@@ -275,6 +303,7 @@ def _byte_edit(where: int, byte: int) -> bytes:
     _json_values.map(lambda value: json.dumps(value).encode()),
     st.builds(_byte_edit, st.integers(min_value=0),
               st.integers(min_value=0, max_value=255))))
+@example(b'{"file_metadata":{"duration":1e9999999999999999999}}')
 @settings(max_examples=200)
 def test_parse_jams_raises_only_package_errors(data):
     try:

@@ -535,3 +535,20 @@ def test_unhashable_value_type_is_a_v3_not_a_crash(part):
         interval = replace(interval, duration=replace(
             interval.duration, value_type=["Seconds"]))
     assert _error_codes(_with_interval(model, interval)) == ["V3"]
+
+
+@pytest.mark.parametrize("part", ["component", "duration"])
+@pytest.mark.parametrize("value", ["NaN", "sNaN", "Infinity", "-Infinity"])
+def test_non_finite_time_value_is_one_v3(part, value):
+    model = replace(valid_model(), file_duration=Decimal("10"))
+    interval = model.annotations[0].observations[0].interval
+    if part == "component":
+        (component,) = interval.index.components
+        interval = replace(interval, index=MusicTimeIndex((
+            replace(component, value=Decimal(value)),)))
+    else:
+        interval = replace(interval, duration=replace(
+            interval.duration, value=Decimal(value)))
+    (violation,) = validate_model(_with_interval(model, interval))
+    assert (violation.code, violation.message) == (
+        "V3", f"{part} needs exactly one finite value and one value type")
