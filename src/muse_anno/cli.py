@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -51,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--modality", choices=("audio", "score", "auto"),
+    common.add_argument("--modality",
+                        choices=[m.value for m in Modality] + ["auto"],
                         default="auto",
                         help="annotation modality; auto uses the metrical "
                              "sandbox heuristic and refuses ambiguous files")
@@ -287,8 +289,8 @@ def cmd_query(args) -> int:
 
 def cmd_stats(args) -> int:
     files, status = _input_files(args)
-    namespaces: dict[str, int] = {}
-    annotator_types: dict[str, int] = {}
+    namespaces: Counter[str] = Counter()
+    annotator_types: Counter[str] = Counter()
     summarized = observations = 0
     min_time: Decimal | None = None
     max_time: Decimal | None = None
@@ -297,9 +299,8 @@ def cmd_stats(args) -> int:
         nonlocal summarized, observations, min_time, max_time
         summarized += 1
         for block in doc.annotations:
-            namespaces[block.namespace] = namespaces.get(block.namespace, 0) + 1
-            type_name = annotator_type(block.annotation_metadata).name
-            annotator_types[type_name] = annotator_types.get(type_name, 0) + 1
+            namespaces[block.namespace] += 1
+            annotator_types[annotator_type(block.annotation_metadata).name] += 1
             for row in block.data:
                 observations += 1
                 end = row.time + row.duration
@@ -310,9 +311,9 @@ def cmd_stats(args) -> int:
     status = _each_file(args, files, status, tail)
     summary = {
         "files": summarized,
-        "annotations_by_namespace": dict(sorted(namespaces.items())),
+        "annotations_by_namespace": namespaces,
         "observations": observations,
-        "annotator_types": dict(sorted(annotator_types.items())),
+        "annotator_types": annotator_types,
         "min_time": decimal_lexical(min_time) if min_time is not None else None,
         "max_time": decimal_lexical(max_time) if max_time is not None else None,
     }

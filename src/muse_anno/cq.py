@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import vocab
@@ -157,10 +158,6 @@ def _graph_start(graph: RdfGraph, roots: list[str],
                        *duration)
 
 
-def _graph_frame(graph: RdfGraph, roots: list[str]) -> Iterator[_Row]:
-    return _graph_start(graph, roots, frame=True)
-
-
 def _cq1_graph(graph: RdfGraph, roots: list[str]) -> Iterator[_Row]:
     value_of, types_of = graph.value, graph.types_of
     for obj in roots:
@@ -241,10 +238,6 @@ def _model_start(model: AnnotationModel, roots: list,
             yield entity.id, lexical, type_iri, *duration
 
 
-def _model_frame(model: AnnotationModel, roots: list) -> Iterator[_Row]:
-    return _model_start(model, roots, frame=True)
-
-
 def _cq1_model(model: AnnotationModel, roots: list) -> Iterator[_Row]:
     for obj in roots:
         for ann in model.annotations:
@@ -271,7 +264,8 @@ _QUESTIONS = {
     1: _Question(("object", "annotation", "annotation_type", "value_kind"),
                  "musical object", False, _cq1_graph, _cq1_model),
     2: _Question(("annotation",) + _FRAME, "annotation", False,
-                 _graph_frame, _model_frame),
+                 partial(_graph_start, frame=True),
+                 partial(_model_start, frame=True)),
     3: _Question(("annotation",) + _START, "annotation", True,
                  _graph_start, _model_start),
     4: _Question(
@@ -285,7 +279,8 @@ _QUESTIONS = {
     5: _Question(("observation",) + _START, "observation", True,
                  _graph_start, _model_start),
     6: _Question(("observation",) + _FRAME, "observation", True,
-                 _graph_frame, _model_frame),
+                 partial(_graph_start, frame=True),
+                 partial(_model_start, frame=True)),
     7: _Question(
         ("observation", "value", "value_kind", "label"), "observation", True,
         _cq7_graph,

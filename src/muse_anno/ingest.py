@@ -309,7 +309,8 @@ def _namespace(value: object, path: str) -> str:
 
 def _parse_row(raw: object, block: str, j: int) -> JamsObservationRow:
     """Row ``j`` of the block at ``block``: read as ``_take`` would, with
-    each JSON path formatted only to raise there."""
+    each JSON path formatted only to raise there (a value's, only when it
+    is no string)."""
     if not isinstance(raw, dict):
         raise TypeMismatch(f"{block}.data[{j}]", "object", raw)
     # All three must be there before any is checked.
@@ -338,7 +339,7 @@ def _parse_row(raw: object, block: str, j: int) -> JamsObservationRow:
         raise TypeMismatch(f"{block}.data[{j}].sandbox", "dict", sandbox)
     value = rest.pop("value")
     if not isinstance(value, str):
-        value = canonical_json(value)
+        value = canonical_json(value, f"{block}.data[{j}].value")
     return JamsObservationRow(time, duration, value, confidence, sandbox, rest)
 
 
@@ -351,8 +352,9 @@ def _parse_metadata(raw: dict, path: str) -> JamsAnnotationMetadata:
         rest["curator"] = curator  # the curator's keys not read above
     annotator = _take(rest, "annotator", dict, path) or {}
     if annotator:
-        # Lowering keys annotators on this form; parse_jams locates an overflow.
-        canonical_json(annotator)
+        # Lowering keys annotators on this form; parse_jams locates an
+        # overflow, and a number too long to write is refused here.
+        canonical_json(annotator, f"{path}.annotator")
     return JamsAnnotationMetadata(
         curator_name=curator_name,
         curator_email=curator_email,
@@ -372,7 +374,7 @@ def _string(value: object, path: str) -> str:
         return value
     if isinstance(value, (int, Decimal)) and not isinstance(value, bool):
         # JAMS in the wild writes e.g. "version": 1.0 as a number.
-        return canonical_json(value)
+        return canonical_json(value, path)
     raise TypeMismatch(path, "string", value)
 
 
@@ -386,15 +388,12 @@ def detect_modality_hint(doc: JamsDocument) -> Modality | None:
     None otherwise (including mixed evidence).  A file with no rows at all
     falls back to the file duration alone.
     """
-    rows = [row for block in doc.annotations for row in block.data]
-    has_duration = doc.file_metadata.duration is not None
-    if not rows:
-        return Modality.AUDIO if has_duration else None
-    metrical = ["measure" in row.sandbox and "beat" in row.sandbox
-                for row in rows]
-    if all(metrical):
+    rows = sum(len(block.data) for block in doc.annotations)
+    metrical = sum("measure" in row.sandbox and "beat" in row.sandbox
+                   for block in doc.annotations for row in block.data)
+    if rows and metrical == rows:
         return Modality.SCORE
-    if not any(metrical) and has_duration:
+    if not metrical and doc.file_metadata.duration is not None:
         return Modality.AUDIO
     return None
 

@@ -22,8 +22,8 @@ Dataclasses here are frozen and unvalidated, and the factory functions
 (``make_audio_index``, ``make_score_index``, ...) only build them:
 ``validate.validate_model`` is the one checker of the pattern's rules, the
 time values' ranges in ``TIME_VALUE_RANGES`` included, and ``emit_graph``
-refuses a model it reports Errors for.  Tests exploit this to inject
-broken states the validator has to catch.
+refuses a model with Errors in the checker's result, run there or passed
+in.  Tests exploit this to inject broken states the validator has to catch.
 """
 
 from __future__ import annotations

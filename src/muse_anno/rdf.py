@@ -192,10 +192,11 @@ def emit_graph(model: AnnotationModel,
                violations: list[Violation] | None = None) -> RdfGraph:
     """Materialize a model as RDF using the pattern vocabulary.
 
-    The model must validate without Errors (warnings are fine); otherwise
-    UnvalidatedModel is raised.  A caller that has just run
-    ``validate_model(model)`` passes its result as ``violations``, so the
-    model is not validated twice; without it, emit_graph validates.  The
+    UnvalidatedModel is raised when ``violations`` holds an Error
+    (warnings are fine).  Without it, emit_graph runs ``validate_model``
+    itself; a caller that has just run it passes its result, so the model
+    is not validated twice.  Any list passed is trusted: given ``[]``, a
+    model with Errors is emitted unchecked.  The
     annotator property chain is materialized: every observation gets an
     explicit hasAnnotator triple pointing at its annotation's annotator,
     and isAnnotatorOf is emitted as the inverse on the annotator itself.

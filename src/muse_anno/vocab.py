@@ -76,11 +76,6 @@ HAS_TIME_VALUE = MAP + "hasTimeValue"
 HAS_CONFIDENCE = MAP + "hasConfidence"
 HAS_MUSIC_OBSERVATION_VALUE = MAP + "hasMusicObservationValue"
 
-ANNOTATION_CLASSES = frozenset({AUDIO_MUSIC_ANNOTATION, SCORE_MUSIC_ANNOTATION})
-OBSERVATION_CLASSES = frozenset({AUDIO_MUSIC_OBSERVATION, SCORE_MUSIC_OBSERVATION})
-OBJECT_CLASSES = frozenset({TRACK, SCORE})
-VALUE_CLASSES = frozenset({CHORD, SEGMENT, MUSIC_OBSERVATION_VALUE})
-
 DEFAULT_PREFIXES = {
     "ex": DEFAULT_BASE_IRI,
     "map": MAP,
@@ -137,6 +132,13 @@ def value_class_iri(kind: ValueKind) -> str:
     falls back to the base observation-value class.
     """
     return _VALUE_CLASS_BY_TOKEN.get(kind.token, MUSIC_OBSERVATION_VALUE)
+
+
+OBJECT_CLASSES = frozenset(map(object_class, ObjectKind))
+ANNOTATION_CLASSES = frozenset(map(annotation_class, Modality))
+OBSERVATION_CLASSES = frozenset(map(observation_class, Modality))
+VALUE_CLASSES = frozenset({*_VALUE_CLASS_BY_TOKEN.values(),
+                           MUSIC_OBSERVATION_VALUE})
 
 
 def annotator_type_iri(atype: AnnotatorType, base_iri: str) -> str:

@@ -31,6 +31,9 @@ def require_number(value: object, path: str, minimum: int | None = None,
         return dec
     elif minimum is not None and dec < minimum:
         expected = _range(minimum, integral)
+    elif dec.adjusted() < -MAX_EXPONENT:
+        expected = (f"number of magnitude at least 1E-{MAX_EXPONENT} or "
+                    f"zero of at most {MAX_EXPONENT} decimal places")
     else:
         expected = f"number of magnitude below 1E+{MAX_EXPONENT + 1}"
     raise TypeMismatch(path, _range(minimum, integral) if integral else expected,
@@ -40,6 +43,8 @@ def require_number(value: object, path: str, minimum: int | None = None,
 def in_range(dec: Decimal, minimum: int | None = None,
              integral: bool = False) -> bool:
     if minimum is not None and dec < minimum:
+        return False
+    if dec.adjusted() < -MAX_EXPONENT:  # a zero's is its exponent
         return False
     magnitude = dec.adjusted() if dec else 0  # zero, even 0E+1000000
     if not integral:
@@ -92,7 +97,8 @@ def parse_row(raw: object, path: str) -> JamsObservationRow:
         duration=_non_negative(duration, f"{path}.duration"),
         confidence=_take(rest, "confidence", require_number, path),
         sandbox=_take(rest, "sandbox", dict, path) or {},
-        value=value if isinstance(value, str) else canonical_json(value),
+        value=(value if isinstance(value, str)
+               else canonical_json(value, f"{path}.value")),
         extras=rest,
     )
 

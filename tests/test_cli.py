@@ -346,6 +346,39 @@ def test_a_number_too_large_to_add_is_located(tmp_path, capsys_run, command,
     assert command == "stats" or out == ""
 
 
+_ROW = '"time":0,"duration":1,"value":"C"'
+
+
+# Each number fits a Decimal, but fixed point would spell it with millions
+# of digits (a value with 10**18), once per term that carries it.
+@pytest.mark.parametrize("path, row, metadata", [
+    ("data[0].time", '"time":1e-10000000,"duration":1,"value":"C"', "{}"),
+    ("data[0].time", '"time":0e-10000000,"duration":1,"value":"C"', "{}"),
+    ("data[0].confidence", _ROW + ',"confidence":1e-10000000', "{}"),
+    ("data[0].value", '"time":0,"duration":1,"value":1e10000000', "{}"),
+    ("data[0].value", '"time":0,"duration":1,"value":[1e999999999999999999]',
+     "{}"),
+    ("annotation_metadata.version", _ROW, '{"version":1e10000000}'),
+    ("annotation_metadata.annotator", _ROW,
+     '{"annotator":{"name":"x","n":[1e10000000]}}'),
+], ids=["small_time", "zero_time", "small_confidence", "large_value",
+        "huge_value", "large_version", "large_annotator"])
+def test_convert_locates_a_number_too_long_to_write(tmp_path, capsys_run,
+                                                    path, row, metadata):
+    source = tmp_path / "x.jams"
+    source.write_text(
+        '{"annotations":[{"namespace":"chord","data":[{' + row
+        + '}],"annotation_metadata":' + metadata
+        + '}],"file_metadata":{"title":"x"},"sandbox":{}}')
+    code, out, err = capsys_run("convert", "--modality", "audio", str(source),
+                                "-o", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    [diagnostic] = [json.loads(line) for line in err.splitlines()]
+    assert diagnostic["error"] == "TypeMismatch"
+    assert f" at annotations[0].{path}, " in diagnostic["message"]
+    assert not list((tmp_path / "out").glob("*.ttl"))
+
+
 @pytest.mark.parametrize("payload", [b"[" * 100_000,
                                      b'{"n": ' + b"9" * 5000 + b"}",
                                      b'{"n": NaN}'],

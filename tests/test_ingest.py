@@ -196,7 +196,7 @@ def test_deeply_nested_value_reports_malformed_at_the_deepest_bracket(depth):
 
 
 def test_value_overflowing_while_canonicalised_reports_malformed(monkeypatch):
-    def overflow(value):
+    def overflow(value, path):
         raise RecursionError
     monkeypatch.setattr(ingest, "canonical_json", overflow)
     text = _nested_value_jams(3)
@@ -229,10 +229,10 @@ def test_annotator_overflowing_while_canonicalised_reports_malformed(
     # parsing must already have found that it can.
     canonical_json = ingest.canonical_json
 
-    def overflow_on_annotator(value):
+    def overflow_on_annotator(value, path):
         if isinstance(value, dict) and "nest" in value:
             raise RecursionError
-        return canonical_json(value)
+        return canonical_json(value, path)
     monkeypatch.setattr(ingest, "canonical_json", overflow_on_annotator)
     text = _nested_annotator_jams(3)
     with pytest.raises(MalformedJson) as excinfo:
@@ -502,7 +502,8 @@ def _table_outcome(edits: dict) -> tuple[type, str]:
 # Recorded before the row reader stopped formatting paths it does not
 # raise at: each missing key and which of several is reported, wrong
 # types, out-of-range and huge numbers, non-string values and non-object
-# sandboxes, for every row key and every score sandbox key.
+# sandboxes, for every row key and every score sandbox key.  One outcome
+# changed since: a value of 1e1000000 is refused as too long to write.
 _ROW_TABLE = [
     ({'time': None}, MissingField,
      'missing required field at annotations[1].data[2].time'),
@@ -560,8 +561,9 @@ _ROW_TABLE = [
      "(Decimal('1'), Decimal('2'), '-1', Decimal('0.5'), {}, {})"),
     ({'value': '-0.5'}, JamsObservationRow,
      "(Decimal('1'), Decimal('2'), '-0.5', Decimal('0.5'), {}, {})"),
-    ({'value': '1e1000000'}, JamsObservationRow,
-     'sha256:4c8cb9531d0f19f09b4f75f0c5002701'),
+    ({'value': '1e1000000'}, TypeMismatch,
+     'expected number of magnitude below 1E+999997 at '
+     "annotations[1].data[2].value, got Decimal('1E+1000000')"),
     ({'value': '{}'}, JamsObservationRow,
      "(Decimal('1'), Decimal('2'), '{}', Decimal('0.5'), {}, {})"),
     ({'confidence': None}, JamsObservationRow,

@@ -124,21 +124,22 @@ def test_emit_materializes_property_chain(bohemian_graph, bohemian_model):
                   annotation.id) in bohemian_graph
 
 
-def test_emit_typing_totality(bohemian_graph):
-    known_classes = (vocab.OBJECT_CLASSES | vocab.ANNOTATION_CLASSES
-                     | vocab.OBSERVATION_CLASSES | vocab.VALUE_CLASSES
-                     | {vocab.MUSIC_TIME_INTERVAL, vocab.MUSIC_TIME_INDEX,
-                        vocab.MUSIC_TIME_INDEX_COMPONENT,
-                        vocab.MUSIC_TIME_DURATION, vocab.ANNOTATOR})
-    subjects = {t.subject for t in bohemian_graph}
-    for subject in subjects:
-        types = bohemian_graph.types_of(subject)
+# Every class the emitter can write: vocab's sets, derived from the
+# choosers it emits with, plus the time structure and the annotator.
+_KNOWN_CLASSES = (vocab.OBJECT_CLASSES | vocab.ANNOTATION_CLASSES
+                  | vocab.OBSERVATION_CLASSES | vocab.VALUE_CLASSES
+                  | {vocab.MUSIC_TIME_INTERVAL, vocab.MUSIC_TIME_INDEX,
+                     vocab.MUSIC_TIME_INDEX_COMPONENT,
+                     vocab.MUSIC_TIME_DURATION, vocab.ANNOTATOR})
+
+
+def _assert_emitted_shape(graph: RdfGraph) -> None:
+    """Each subject has one known class, each interval one index and one
+    duration, and each component and duration one value and one type."""
+    for subject in {t.subject for t in graph}:
+        types = graph.types_of(subject)
         assert len(types) == 1
-        assert types[0] in known_classes
-
-
-def test_emit_cardinality_shadows(bohemian_graph):
-    graph = bohemian_graph
+        assert types[0] in _KNOWN_CLASSES
     for interval in graph.subjects(vocab.RDF_TYPE, vocab.MUSIC_TIME_INTERVAL):
         assert len(graph.objects(interval, vocab.HAS_MUSIC_TIME_INDEX)) == 1
         assert len(graph.objects(interval, vocab.HAS_MUSIC_TIME_DURATION)) == 1
@@ -149,34 +150,22 @@ def test_emit_cardinality_shadows(bohemian_graph):
         assert len(graph.objects(node, vocab.HAS_MUSIC_TIME_VALUE_TYPE)) == 1
 
 
+@pytest.mark.parametrize("fixture", ["bohemian_model", "michelle_model",
+                                     "mozart_score_model"])
+def test_fixture_graphs_keep_typing_and_cardinality(request, fixture):
+    _assert_emitted_shape(emit_graph(request.getfixturevalue(fixture)))
+
+
 def test_emit_confidence_literals_preserve_lexical_form(bohemian_graph):
     confidences = {t.object.lexical for t in bohemian_graph
                    if t.predicate == vocab.HAS_CONFIDENCE}
     assert confidences == {"1.0"}
 
 
-_KNOWN_CLASSES = (vocab.OBJECT_CLASSES | vocab.ANNOTATION_CLASSES
-                  | vocab.OBSERVATION_CLASSES | vocab.VALUE_CLASSES
-                  | {vocab.MUSIC_TIME_INTERVAL, vocab.MUSIC_TIME_INDEX,
-                     vocab.MUSIC_TIME_INDEX_COMPONENT,
-                     vocab.MUSIC_TIME_DURATION, vocab.ANNOTATOR})
-
-
 @given(any_models)
 @settings(max_examples=40)
 def test_generated_graphs_keep_typing_and_cardinality_invariants(model):
-    graph = emit_graph(model)
-    for subject in {t.subject for t in graph}:
-        types = graph.types_of(subject)
-        assert len(types) == 1 and types[0] in _KNOWN_CLASSES
-    for interval in graph.subjects(vocab.RDF_TYPE, vocab.MUSIC_TIME_INTERVAL):
-        assert len(graph.objects(interval, vocab.HAS_MUSIC_TIME_INDEX)) == 1
-        assert len(graph.objects(interval, vocab.HAS_MUSIC_TIME_DURATION)) == 1
-    value_nodes = graph.subjects(vocab.RDF_TYPE, vocab.MUSIC_TIME_INDEX_COMPONENT)
-    value_nodes += graph.subjects(vocab.RDF_TYPE, vocab.MUSIC_TIME_DURATION)
-    for node in value_nodes:
-        assert len(graph.objects(node, vocab.HAS_TIME_VALUE)) == 1
-        assert len(graph.objects(node, vocab.HAS_MUSIC_TIME_VALUE_TYPE)) == 1
+    _assert_emitted_shape(emit_graph(model))
 
 
 # --- serialization ---------------------------------------------------------------

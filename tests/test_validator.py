@@ -357,11 +357,14 @@ def _oracle_interval(owner_id, interval, modality, report):
 
 def _oracle_out_of_range(part, role):
     """A Measure or Beat component below 1, any other part below 0, a
-    nonzero value of 1E+999997 or more, or a Measure that is fractional or
-    has more digits than ``str(int)`` writes."""
+    nonzero value of 1E+999997 or more or below 1E-999996, a zero of more
+    than 999996 decimal places, or a Measure that is fractional or has more
+    digits than ``str(int)`` writes."""
     value, value_type = part.value, part.value_type
     metrical = value_type in (MusicTimeValueType.MEASURE, MusicTimeValueType.BEAT)
     if value < (1 if metrical and role == "component" else 0):
+        return True
+    if value.adjusted() < -999996:
         return True
     if value == 0:
         return False
@@ -490,6 +493,12 @@ _ORACLE_EDGES = {
                        MusicTimeValueType.MINUTES)), ["W1"]),
     "seconds past the largest exponent": (lambda: _with_interval(
         valid_model(), _unit_interval("1E+999997", "1",
+                                      MusicTimeValueType.SECONDS)), ["V3"]),
+    "seconds below the least exponent": (lambda: _with_interval(
+        valid_model(), _unit_interval("1E-999997", "1",
+                                      MusicTimeValueType.SECONDS)), ["V3"]),
+    "a zero duration of too many places": (lambda: _with_interval(
+        valid_model(), _unit_interval("1", "0E-999997",
                                       MusicTimeValueType.SECONDS)), ["V3"]),
     "an interval without an index": (lambda: _with_interval(
         valid_model(), MusicTimeInterval(None, MusicTimeDuration(
